@@ -22,7 +22,6 @@ collector disabled around each timed section (the same discipline as
 import argparse
 import gc
 import json
-import os
 import pathlib
 import platform
 import statistics
@@ -47,32 +46,12 @@ FIG12_CONNECTORS = ("Replicator", "EarlyAsyncMerger", "Sequencer",
                     "SequencedMerger")
 FIG12_NS = (2, 8)
 
-#: Absolute fig13 targets for the multiprocess backend — only meaningful
-#: on hosts with enough cores that worker processes can win back their IPC
-#: cost.  On smaller hosts the gate prints an explicit skip notice instead
-#: of a vacuous pass/fail.
-FIG13_WORKERS_RATIO_BUDGET = 1.5   # reo(4 workers) / original wall time
-WORKERS_SCALING_FLOOR = 2.0        # 1 -> 4 worker speedup floor
-MULTICORE = (os.cpu_count() or 1) >= 4
-
-#: fig13 reo variants recorded per backend: the thread tier (the paper's
-#: original measurement) plus the workers backend at 1 and 4 processes,
-#: which is both the ratio row and the scaling lane.
-FIG13_BACKENDS = {
-    "threads": {},
-    "workers-1": dict(concurrency="workers", workers=1,
-                      use_partitioning=True),
-    "workers-4": dict(concurrency="workers", workers=4,
-                      use_partitioning=True),
-}
-
-
-def _median_engine_row(k, mode, values, repeats):
+def _median_engine_row(k, values, repeats):
     samples = []
     gc.disable()
     try:
         for _ in range(repeats):
-            steps, dt = pump_once(k, mode, values=values)
+            steps, dt = pump_once(k, values=values)
             samples.append(dt / steps * 1e9)
     finally:
         gc.enable()
@@ -87,11 +66,9 @@ def _median_engine_row(k, mode, values, repeats):
 
 
 def record_engine_scaling(values, repeats):
-    rows = {}
-    for k in LANES:
-        for mode in ("global", "regions"):
-            rows[f"{mode}/{k}"] = _median_engine_row(k, mode, values, repeats)
-    return rows
+    return {
+        f"regions/{k}": _median_engine_row(k, values, repeats) for k in LANES
+    }
 
 
 def record_fig12(window_s, repeats):
@@ -151,19 +128,8 @@ def record_fig13(repeats):
 
     rows = {}
     for prog_name, mod in (("cg", cg), ("lu", lu)):
-        variants = [
-            ("original", lambda m=mod: m.run_original("S", 4)),
-        ]
-        for backend, opts in FIG13_BACKENDS.items():
-            label = "reo" if backend == "threads" else f"reo@{backend}"
-            variants.append(
-                (label, lambda m=mod, o=opts: m.run_reo("S", 4, **o))
-            )
-        for label, fn in variants:
-            # Worker rows are seconds-scale (process spawn + shm setup per
-            # run); cap their repeats so a full record stays minutes-scale.
-            n = min(repeats, 3) if "@" in label else repeats
-            secs = _fig13_secs(fn, n)
+        for label, fn in (("original", mod.run_original), ("reo", mod.run_reo)):
+            secs = _fig13_secs(lambda f=fn: f("S", 4), repeats)
             rows[f"{prog_name}/S/4/{label}"] = {
                 "seconds": round(statistics.median(secs), 4)
             }
@@ -207,7 +173,7 @@ def check(baseline_path: pathlib.Path) -> int:
     # overall min before declaring a regression.
     best = None
     for _attempt in range(3):
-        now = _median_engine_row(1, "regions", values=300, repeats=5)
+        now = _median_engine_row(1, values=300, repeats=5)
         best = (now["ns_per_step_min"] if best is None
                 else min(best, now["ns_per_step_min"]))
         if best / pinned <= REGRESSION_BUDGET:
@@ -273,23 +239,12 @@ def _check_steps(baseline_steps) -> int:
 
 
 def _check_fig13(baseline_rows) -> int:
-    """The fig13 gate, in two tiers.
-
-    (a) On every host: re-measure the thread-tier NPB panels and gate the
+    """The fig13 gate: re-measure the NPB panels and gate the
     reo/original *ratio* against the committed baseline's ratio with the
     standard budget.  Gating the ratio makes the check immune to
     host-speed drift (both variants run on the same box), while still
     tripping when the protocol layer's overhead grows relative to the
-    hand-threaded original — the figure the paper is about.
-
-    (b) On hosts with ≥ 4 cores: enforce the absolute multiprocess
-    targets — reo under ``concurrency="workers"`` at 4 workers within
-    FIG13_WORKERS_RATIO_BUDGET of the original, and ≥
-    WORKERS_SCALING_FLOOR speedup from 1 to 4 workers.  On smaller hosts
-    worker processes are pure IPC overhead with no cores to win back, so
-    the absolute gate would measure the box, not the code — skipped with
-    an explicit notice so a big-runner CI lane still applies it.
-    """
+    hand-threaded original — the figure the paper is about."""
     if not baseline_rows:
         print("fig13: no baseline rows recorded — skipping gate")
         return 0
@@ -312,59 +267,6 @@ def _check_fig13(baseline_rows) -> int:
             print(f"FAIL: {prog_name} protocol overhead regressed beyond "
                   "budget")
             return 1
-        if not MULTICORE:
-            print(f"fig13 {prog_name}: host has {os.cpu_count() or 1} "
-                  "core(s) — skipping absolute workers-backend gate "
-                  "(needs >= 4 cores)")
-            continue
-        w1 = min(_fig13_secs(
-            lambda: mod.run_reo("S", 4, **FIG13_BACKENDS["workers-1"]), 2))
-        w4 = min(_fig13_secs(
-            lambda: mod.run_reo("S", 4, **FIG13_BACKENDS["workers-4"]), 2))
-        wratio, scaling = w4 / orig, w1 / w4
-        print(f"fig13 {prog_name}/S/4 workers: reo@4/original "
-              f"{wratio:.2f}x (budget "
-              f"{FIG13_WORKERS_RATIO_BUDGET:.1f}x), 1->4 scaling "
-              f"{scaling:.2f}x (floor {WORKERS_SCALING_FLOOR:.1f}x)")
-        if wratio > FIG13_WORKERS_RATIO_BUDGET:
-            print(f"FAIL: {prog_name} workers-backend ratio over budget")
-            return 1
-        if scaling < WORKERS_SCALING_FLOOR:
-            print(f"FAIL: {prog_name} workers backend does not scale")
-            return 1
-    return 0
-
-
-def workers_smoke() -> int:
-    """CI entry for the ``workers-smoke`` job: run NPB cg/S on the
-    multiprocess backend at 1 and 4 workers, verify the numeric results,
-    and apply the absolute fig13 targets when the host has the cores to
-    make them meaningful (otherwise the run still proves the backend
-    end-to-end — spawn, shm hand-off, verification, teardown)."""
-    from repro.npb import cg
-
-    orig = min(_fig13_secs(lambda: cg.run_original("S", 4), 2))
-    w1 = min(_fig13_secs(
-        lambda: cg.run_reo("S", 4, **FIG13_BACKENDS["workers-1"]), 2))
-    w4 = min(_fig13_secs(
-        lambda: cg.run_reo("S", 4, **FIG13_BACKENDS["workers-4"]), 2))
-    wratio, scaling = w4 / orig, w1 / w4
-    print(f"workers-smoke cg/S/4: original {orig:.3f}s, "
-          f"reo@1w {w1:.3f}s, reo@4w {w4:.3f}s "
-          f"(ratio {wratio:.2f}x, 1->4 scaling {scaling:.2f}x)")
-    if not MULTICORE:
-        print(f"host has {os.cpu_count() or 1} core(s): "
-              "verification-only run; the absolute gate needs >= 4 cores")
-        return 0
-    if wratio > FIG13_WORKERS_RATIO_BUDGET:
-        print(f"FAIL: reo@4w/original {wratio:.2f}x over "
-              f"{FIG13_WORKERS_RATIO_BUDGET:.1f}x budget")
-        return 1
-    if scaling < WORKERS_SCALING_FLOOR:
-        print(f"FAIL: 1->4 worker scaling {scaling:.2f}x under "
-              f"{WORKERS_SCALING_FLOOR:.1f}x floor")
-        return 1
-    print("OK")
     return 0
 
 
@@ -378,21 +280,17 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="compare against the committed baseline instead "
                          "of rewriting it (exit 1 on regression)")
-    ap.add_argument("--workers-smoke", action="store_true",
-                    help="run only the NPB workers-backend smoke gate")
     args = ap.parse_args(argv)
-    if args.workers_smoke:
-        return workers_smoke()
     if args.check:
         return check(args.out)
     doc = record(args.out, quick=args.quick, repeats=args.repeats)
     scaling = doc["engine_scaling"]
-    speedup = (scaling["regions/4"]["steps_per_s"]
-               / scaling["global/4"]["steps_per_s"])
+    growth = (scaling["regions/8"]["ns_per_step"]
+              / scaling["regions/1"]["ns_per_step"])
     print(f"wrote {args.out} "
           f"({len(scaling)} engine rows, "
           f"{len(doc['fig12_connectors'])} connector rows; "
-          f"4-region speedup {speedup:.2f}x)")
+          f"8-region ns/step {growth:.2f}x of 1 region)")
     return 0
 
 

@@ -102,6 +102,7 @@ class _PortSpace:
 def run_main(
     compiled: CompiledProgram,
     registry,
+    /,
     params: dict[str, int] | None = None,
     join_timeout: float | None = 60.0,
     detect_deadlock: bool = False,
@@ -116,7 +117,9 @@ def run_main(
     iteration order).
 
     ``connector_options`` are forwarded to the connector instantiation
-    (``composition=...``, ``use_partitioning=...``, …).
+    (``composition=...``, ``use_partitioning=...``, ``compiled=...``, …);
+    ``compiled`` and ``registry`` are positional-only so that the step-tier
+    option ``compiled=`` can pass through.
     """
     main = compiled.main
     if main is None:

@@ -10,9 +10,10 @@ falsify that, continuously, across every execution mode the runtime grows:
   a *deterministic* operation script (uniquely-enabled steps only) plus a
   seeded perturbation schedule (mid-run checkpoint/restore, flood
   injections under shed policies);
-* :mod:`repro.fuzz.harness` — runs one script under every mode: global vs
-  regions engine × JIT vs AOT composition, plus the channels model for
-  pure-FIFO programs;
+* :mod:`repro.fuzz.harness` — runs one script under every mode: one global
+  region vs partitioned regions × JIT vs AOT composition, plus the
+  channels model for pure-FIFO programs, and checks every received value
+  against the reference simulator's;
 * :mod:`repro.fuzz.oracle` — normalizes traces (per-port streams ordered
   by the per-region sequence ``rseq``), residual buffers, shed counts and
   the metrics conservation law, and diffs modes with zero tolerance;

@@ -1,12 +1,19 @@
 """Multi-mode execution harness — one script, every execution mode.
 
 Runs a (program, script, schedule) triple under each entry of :data:`MODES`
-— the cross product of engine concurrency (``global`` = one lock and, with
-partitioning off, one globally composed automaton vs ``regions`` =
-per-region locks over partitioned granularity-"small" automata) and
-composition strategy (``jit`` lazy product vs ``aot`` precomposed + hidden
-+ precompiled plans) — plus, for channelable programs, the
+— the cross product of region structure (``global`` = partitioning off, one
+globally composed region under one lock, vs ``regions`` = partitioned
+granularity-"small" automata, one lock per region) and composition
+strategy (``jit`` lazy product vs ``aot`` precomposed + hidden +
+precompiled plans) — plus, for channelable programs, the
 :mod:`repro.runtime.channels` model, which shares none of the engine code.
+
+**The reference.**  Every connector mode runs on the one engine, so a
+scheduler bug would show in all of them alike and no cross-mode comparison
+could see it.  Each completed receive is therefore also checked against the
+value the reference simulator (:mod:`repro.fuzz.sim`) expected for it —
+the ``value`` of the script's recv :class:`~repro.fuzz.sim.SimOp` — and a
+mismatch is an anomaly of that run on its own.
 
 **Single-threaded driving.**  Batches are submitted through the engine's
 asynchronous :meth:`~repro.runtime.engine.CoordinatorEngine.post_send` /
@@ -49,37 +56,27 @@ from repro.runtime.trace import TraceRecorder
 #: checkpoint — so the trace-equivalence oracle covers the serialization
 #: round-trip too.
 MODES = {
-    "global-jit": dict(concurrency="global", composition="jit",
-                       use_partitioning=False, compiled="off"),
-    "global-aot": dict(concurrency="global", composition="aot",
-                       use_partitioning=False, compiled="off"),
-    "regions-jit": dict(concurrency="regions", composition="jit",
-                        use_partitioning=True, compiled="off"),
-    "regions-aot": dict(concurrency="regions", composition="aot",
-                        use_partitioning=True, compiled="off"),
-    "serve-jit": dict(concurrency="regions", composition="jit",
-                      use_partitioning=True, compiled="off", host="serve"),
-    "durable": dict(concurrency="regions", composition="jit",
-                    use_partitioning=True, compiled="off", host="durable"),
+    "global-jit": dict(composition="jit", use_partitioning=False,
+                       compiled="off"),
+    "global-aot": dict(composition="aot", use_partitioning=False,
+                       compiled="off"),
+    "regions-jit": dict(composition="jit", use_partitioning=True,
+                        compiled="off"),
+    "regions-aot": dict(composition="aot", use_partitioning=True,
+                        compiled="off"),
+    "serve-jit": dict(composition="jit", use_partitioning=True,
+                      compiled="off", host="serve"),
+    "durable": dict(composition="jit", use_partitioning=True,
+                    compiled="off", host="durable"),
     # The compiled step tier (repro.compiler.steps).  The six modes above
     # pin compiled="off" so they stay pure interpretive baselines — an
     # injected bug that doctors interpreter internals (e.g. the candidates
     # list) must remain oracle-visible there — while these two exercise the
     # generated step functions against every baseline simultaneously.
-    "regions-compiled": dict(concurrency="regions", composition="jit",
-                             use_partitioning=True, compiled="auto"),
-    "global-compiled": dict(concurrency="global", composition="aot",
-                            use_partitioning=False, compiled="auto"),
-    # The multiprocess backend (repro.runtime.workers): region drain loops
-    # in forked worker processes over shared-memory port buffers, with the
-    # dirty-region spill protocol relayed over SPSC rings.  post_*/try_*
-    # wait for the cross-worker kick cascade to quiesce, which is what
-    # makes these modes comparable under the exact-equality oracle.
-    "workers-jit": dict(concurrency="workers", workers=2, composition="jit",
-                        use_partitioning=True, compiled="off"),
-    "workers-compiled": dict(concurrency="workers", workers=2,
-                             composition="jit", use_partitioning=True,
+    "regions-compiled": dict(composition="jit", use_partitioning=True,
                              compiled="auto"),
+    "global-compiled": dict(composition="aot", use_partitioning=False,
+                            compiled="auto"),
 }
 
 
@@ -242,6 +239,11 @@ def run_connector_mode(program, script, schedule, mode: str, *,
                     )
                 else:
                     value = op.value if sop.kind == "recv" else sop.value
+                    if sop.kind == "recv" and value != sop.value:
+                        result.anomalies.append(
+                            f"batch {i} recv@{sop.vertex} delivered "
+                            f"{value!r}, reference expected {sop.value!r}"
+                        )
                     streams[sop.vertex].append((sop.kind, value))
         end_segment(conn, reg)
         buffered = []

@@ -9,7 +9,11 @@ linked to outports/inports), and execution options:
   are eagerly composed into one large automaton at ``connect`` time ("easy
   to implement; resources may be spent unnecessarily");
 * ``use_partitioning=True`` — apply the ref-[32] partitioning first, so each
-  independent region composes (eagerly or lazily) on its own;
+  independent region composes (eagerly or lazily) on its own and fires
+  under its own lock (the independent regions of a partitioned connector
+  run on multiple OS threads concurrently); without it the whole connector
+  is one globally composed region under one lock (docs/INTERNALS.md
+  §"Engine concurrency model");
 * ``step_mode`` — ``"minimal"`` (default) or ``"maximal"`` global-step
   enumeration, see :mod:`repro.automata.product`;
 * ``cache_factory`` — state-cache constructor for JIT regions (unbounded by
@@ -33,14 +37,6 @@ linked to outports/inports), and execution options:
   docs/OBSERVABILITY.md (steps, latencies, queue depths, sheds, …) under
   its ``name`` as the ``connector`` label.  Off by default, and free when
   off (single-branch hot-path guards, see docs/INTERNALS.md §8);
-* ``concurrency`` — ``"regions"`` (default: per-region locking, so the
-  independent regions a partitioned connector compiles to fire on multiple
-  OS threads concurrently), ``"global"`` (the single-lock serial engine,
-  kept as the honest baseline for ``benchmarks/bench_engine_scaling.py``),
-  or ``"workers"`` (region drain loops in separate OS processes over
-  shared-memory port buffers — real CPU parallelism past the GIL; see
-  docs/PARALLEL.md).  ``workers=N`` bounds the process count for the
-  multiprocess backend; see docs/INTERNALS.md §"Engine concurrency model";
 * ``compiled`` — the specialized step tier (docs/COMPILER.md): ``"auto"``
   (default) emits a specialized Python step function per transition at
   connect time and silently demotes anything uncompilable to the
@@ -62,12 +58,7 @@ from repro.automata.lazy import LazyProduct
 from repro.automata.partition import partition_automata
 from repro.automata.product import merged_buffers, product
 from repro.runtime.buffers import BufferStore
-from repro.runtime.engine import (
-    CoordinatorEngine,
-    EagerRegion,
-    LazyRegion,
-    make_engine,
-)
+from repro.runtime.engine import CoordinatorEngine, EagerRegion, LazyRegion
 from repro.runtime.metrics import ConnectorMetrics, MetricsRegistry
 from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import Inport, Outport
@@ -103,17 +94,10 @@ class RuntimeConnector(Connector):
         overload: OverloadPolicy | dict[str, OverloadPolicy] | None = None,
         metrics: MetricsRegistry | None = None,
         name: str = "",
-        concurrency: str = "regions",
-        workers: int = 2,
         compiled: str = "auto",
     ):
         if composition not in ("jit", "aot"):
             raise ValueError(f"composition must be 'jit' or 'aot', not {composition!r}")
-        if concurrency not in ("regions", "global", "workers"):
-            raise ValueError(
-                f"concurrency must be 'regions', 'global' or 'workers', "
-                f"not {concurrency!r}"
-            )
         if compiled not in ("auto", "off", "require"):
             raise ValueError(
                 f"compiled must be 'auto', 'off' or 'require', not {compiled!r}"
@@ -132,8 +116,6 @@ class RuntimeConnector(Connector):
         self.default_timeout = default_timeout
         self.detection_grace = detection_grace
         self.overload = overload
-        self.concurrency = concurrency
-        self.workers = workers
         self.compiled = compiled
         self.metrics = metrics
         self._metrics = (
@@ -200,7 +182,7 @@ class RuntimeConnector(Connector):
         sinks = frozenset(self.head_vertices)
         regions, store = self._build_regions(self.automata, sources, sinks)
 
-        self.engine = make_engine(
+        self.engine = CoordinatorEngine(
             regions,
             store,
             sources,
@@ -212,8 +194,6 @@ class RuntimeConnector(Connector):
             detection_grace=self.detection_grace,
             overload=self.overload,
             metrics=self._metrics,
-            concurrency=self.concurrency,
-            workers=self.workers,
             compiled=self.compiled,
         )
         if self.composition == "aot":

@@ -48,10 +48,8 @@ taking ``_lock`` plus every region lock, which is also what lets the
 deadlock detector aggregate a consistent snapshot across regions without
 deadlocking against the hot path.
 
-``concurrency="global"`` preserves the pre-region-parallel engine — one
-shared lock, a global rescan per firing attempt, condition-variable
-broadcasts — as an honest same-workload baseline for
-``benchmarks/bench_engine_scaling.py``.
+A connector built without partitioning (``use_partitioning=False``) is
+one globally composed region under one lock, on the same hot path.
 
 Fault tolerance
 ---------------
@@ -124,12 +122,6 @@ _WAIT_TICK = 0.1
 _LAT_MASK = LATENCY_STRIDE - 1
 assert LATENCY_STRIDE & _LAT_MASK == 0, "LATENCY_STRIDE must be a power of two"
 
-#: Stand-in pending dict for serial mode: compiled step functions always
-#: do their ``pending.pop(v, None)`` bookkeeping, and in serial mode (which
-#: rebuilds the pending list per attempt) popping this shared empty dict is
-#: a harmless no-op.
-_NULL_PEND: dict = {}
-
 #: Per-region cap on the number of control states the compiled tier keeps
 #: specialized step tables for (JIT regions compile per visited state).
 #: States beyond the cap are simply interpreted — correctness never depends
@@ -194,8 +186,7 @@ class _RegionRuntime:
         #: and checkpoint code (no O(#regions) ``list.index`` on the hot
         #: path).
         self.idx = 0
-        #: This region's lock (``concurrency="global"`` shares one lock
-        #: across all regions).  Assigned by the adopting engine.
+        #: This region's lock.  Assigned by the adopting engine.
         self.lock: threading.Lock | None = None
         #: Incrementally maintained pending-vertex set (insertion-ordered
         #: dict used as an ordered set, for deterministic candidate order).
@@ -315,9 +306,7 @@ class CoordinatorEngine:
       because it tracks party exits precisely.
 
     ``default_timeout`` bounds every blocking operation that does not pass
-    its own ``timeout``.  ``concurrency`` selects ``"regions"`` (per-region
-    locking, the default) or ``"global"`` (the single-lock baseline); see
-    the module docstring.
+    its own ``timeout``.
     """
 
     def __init__(
@@ -333,19 +322,12 @@ class CoordinatorEngine:
         detection_grace: float = 0.05,
         overload: "OverloadPolicy | dict[str, OverloadPolicy] | None" = None,
         metrics=None,
-        concurrency: str = "regions",
         compiled: str = "auto",
     ):
-        if concurrency not in ("regions", "global"):
-            raise ValueError(
-                f"concurrency must be 'regions' or 'global', not {concurrency!r}"
-            )
         if compiled not in ("auto", "off", "require"):
             raise ValueError(
                 f"compiled must be 'auto', 'off' or 'require', not {compiled!r}"
             )
-        self.concurrency = concurrency
-        self._serial = concurrency == "global"
         self.buffers = buffers
         self.sources = sources
         self.sinks = sinks
@@ -374,12 +356,6 @@ class CoordinatorEngine:
         # registry, the blocked-waiter count, and the deadlock suspect;
         # cold paths additionally take every region lock under it.
         self._lock = threading.Lock()
-        # Shared firing lock + condvar for concurrency="global" (None in
-        # region mode, where each blocked op has its own Event).
-        self._shared_lock = threading.Lock() if self._serial else None
-        self._cond = (
-            threading.Condition(self._shared_lock) if self._serial else None
-        )
         # Leaf locks: shared metric structures (latency histogram, shed /
         # rejected memo dicts) and cross-region trace causality.
         self._stat_lock = threading.Lock()
@@ -530,33 +506,6 @@ class CoordinatorEngine:
         return op
 
     def _post(self, queue: deque, op: _Op, policy, is_send: bool) -> None:
-        if self._serial:
-            with self._cond:
-                self._check_open(op.vertex)
-                if is_send and self._draining:
-                    raise PortClosedError(
-                        f"vertex {op.vertex!r} rejected: connector draining"
-                    )
-                op.t_enq = time.monotonic()
-                op.steps_enq = self._steps_approx
-                self._mark_active(op.vertex, op.t_enq)
-                mx = self._metrics
-                if mx is not None:
-                    child = (mx.sub_send if is_send else mx.sub_recv).get(op.vertex)
-                    if child is not None:
-                        child.value += 1.0
-                queue.append(op)
-                self._drain_serial()
-                if op.done or op.error is not None:
-                    return
-                pol = policy if policy is not None else self._policies.get(op.vertex)
-                if (
-                    pol is not None
-                    and pol.kind != "block"
-                    and len(queue) > pol.max_pending
-                ):
-                    self._overflow(queue, op, pol)
-            return
         spill: list = []
         try:
             region = self._acquire_owner(op.vertex)
@@ -712,7 +661,7 @@ class CoordinatorEngine:
         watchers: dict[str, list] = {}
         for i, r in enumerate(self.regions):
             r.idx = i
-            r.lock = self._shared_lock if self._serial else threading.Lock()
+            r.lock = threading.Lock()
             r.pend = {}
             r.dirty = False
             r.live = True
@@ -740,13 +689,7 @@ class CoordinatorEngine:
         self._watchers: dict[str, tuple] = {
             b: tuple(rs) for b, rs in watchers.items() if len(rs) > 1
         }
-        seen: set[int] = set()
-        ordered = []
-        for r in self.regions:
-            if id(r.lock) not in seen:
-                seen.add(id(r.lock))
-                ordered.append(r.lock)
-        self._all_locks: tuple = tuple(ordered)
+        self._all_locks: tuple = tuple(r.lock for r in self.regions)
         # (Re)compile the step tier against the objects just adopted — both
         # construction and reconfigure land here, so the emitted closures
         # always bind the engine's *current* queues/buffers/closed set.
@@ -825,12 +768,9 @@ class CoordinatorEngine:
             region.lock.release()
 
     def _wake_all_locked(self) -> None:
-        """Wake every parked submitter (all region locks held): broadcast
-        in serial mode, per-op events in region mode.  Spurious wakes are
-        fine — waiters re-check their op and the deadlock detector."""
-        if self._serial:
-            self._cond.notify_all()
-            return
+        """Wake every parked submitter (all region locks held) through its
+        op's event.  Spurious wakes are fine — waiters re-check their op
+        and the deadlock detector."""
         for qmap in (self._pending_send, self._pending_recv):
             for q in qmap.values():
                 for op in q:
@@ -1130,12 +1070,10 @@ class CoordinatorEngine:
                 self._suspect = None
                 self._plans.clear()
                 self._adopt_regions(regions)
-                if not self._serial:
-                    # Fresh locks, unreachable until now: acquiring them under
-                    # the old locks cannot deadlock.  (Serial mode reuses the
-                    # shared lock, which is already held.)
-                    self._acquire(self._all_locks)
-                    new_acquired = self._all_locks
+                # Fresh locks, unreachable until now: acquiring them under
+                # the old locks cannot deadlock.
+                self._acquire(self._all_locks)
+                new_acquired = self._all_locks
                 for qmap in (self._pending_send, self._pending_recv):
                     for v, q in qmap.items():
                         if q:
@@ -1196,8 +1134,6 @@ class CoordinatorEngine:
     # ------------------------------------------------- submission hot path
 
     def _try_submit(self, queue: deque, op: _Op, is_send: bool = False) -> bool:
-        if self._serial:
-            return self._try_submit_serial(queue, op, is_send)
         spill: list = []
         try:
             region = self._acquire_owner(op.vertex)
@@ -1242,8 +1178,6 @@ class CoordinatorEngine:
         policy: OverloadPolicy | None = None,
         is_send: bool = False,
     ) -> None:
-        if self._serial:
-            return self._submit_serial(queue, op, timeout, policy, is_send)
         if timeout is None:
             timeout = self.default_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -1347,7 +1281,7 @@ class CoordinatorEngine:
             region.lock.release()
 
     def _overflow(self, queue: deque, op: _Op, pol: OverloadPolicy,
-                  region=None) -> None:
+                  region) -> None:
         """Apply a non-``block`` policy to an over-bound queue (owner lock
         held).
 
@@ -1358,7 +1292,7 @@ class CoordinatorEngine:
         """
         if pol.kind == "fail_fast":
             queue.remove(op)
-            if region is not None and not queue:
+            if not queue:
                 region.pend.pop(op.vertex, None)
             if self._metrics is not None:
                 with self._stat_lock:
@@ -1369,7 +1303,7 @@ class CoordinatorEngine:
             queue.remove(op)
         else:  # shed_oldest: drop-head; the incoming op takes the freed slot
             victim = queue.popleft()
-        if region is not None and not queue:
+        if not queue:
             region.pend.pop(op.vertex, None)
         self.dead.capture(
             victim.vertex, victim.value, pol.kind, self.steps,
@@ -1380,105 +1314,9 @@ class CoordinatorEngine:
                 self._metrics.shed(victim.vertex, pol.kind)
         victim.done = True
         if victim is not op:
-            if self._serial:
-                self._cond.notify_all()
-            else:
-                ev = victim.event
-                if ev is not None:
-                    ev.set()
-
-    # --------------------------------------------- serial (global) baseline
-
-    def _try_submit_serial(self, queue: deque, op: _Op, is_send: bool) -> bool:
-        with self._cond:
-            self._check_open(op.vertex)
-            if is_send and self._draining:
-                raise PortClosedError(
-                    f"vertex {op.vertex!r} rejected: connector draining"
-                )
-            self._mark_active(op.vertex)
-            mx = self._metrics
-            if mx is not None:
-                child = (mx.sub_send if is_send else mx.sub_recv).get(op.vertex)
-                if child is not None:
-                    child.value += 1.0
-            queue.append(op)
-            self._drain_serial()
-            if op.done:
-                return True
-            if op.error is not None:
-                raise op.error
-            queue.remove(op)
-            self._count_withdrawn(op.vertex, is_send)
-            return False
-
-    def _submit_serial(
-        self,
-        queue: deque,
-        op: _Op,
-        timeout: float | None,
-        policy: OverloadPolicy | None,
-        is_send: bool,
-    ) -> None:
-        if timeout is None:
-            timeout = self.default_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            self._check_open(op.vertex)
-            if is_send and self._draining:
-                raise PortClosedError(
-                    f"vertex {op.vertex!r} rejected: connector draining"
-                )
-            op.t_enq = time.monotonic()
-            op.steps_enq = self._steps_approx
-            self._mark_active(op.vertex, op.t_enq)
-            mx = self._metrics
-            if mx is not None:
-                child = (mx.sub_send if is_send else mx.sub_recv).get(op.vertex)
-                if child is not None:
-                    child.value += 1.0
-            queue.append(op)
-            self._drain_serial()
-            if op.done:
-                return
-            pol = policy if policy is not None else self._policies.get(op.vertex)
-            if (
-                pol is not None
-                and pol.kind != "block"
-                and len(queue) > pol.max_pending
-            ):
-                self._overflow(queue, op, pol)
-                if op.done:
-                    return
-            with self._lock:
-                self._blocked += 1
-            try:
-                while not op.done and op.error is None:
-                    self._maybe_deadlock_serial()
-                    if op.done or op.error is not None:
-                        break
-                    tick = _WAIT_TICK
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            # Cancel: withdraw the pending operation so no
-                            # stale queue entry survives the timeout.  (The
-                            # lock is held continuously since the last done
-                            # check, so the op cannot complete concurrently.)
-                            try:
-                                queue.remove(op)
-                            except ValueError:
-                                pass
-                            else:
-                                self._count_withdrawn(op.vertex, is_send)
-                            raise ProtocolTimeoutError(op.vertex, timeout)
-                        tick = min(tick, remaining)
-                    self._cond.wait(tick)
-            finally:
-                with self._lock:
-                    self._blocked -= 1
-            if op.error is not None:
-                raise op.error
+            ev = victim.event
+            if ev is not None:
+                ev.set()
 
     # ------------------------------------------------------ overload layer
 
@@ -1576,7 +1414,7 @@ class CoordinatorEngine:
     # -------------------------------------------------- deadlock detection
 
     def _maybe_deadlock(self) -> None:
-        """Region-mode detection — caller holds *no* locks.  Takes the
+        """Deadlock detection — caller holds *no* locks.  Takes the
         registry lock, then every region lock, for a globally consistent
         snapshot of queues, blocked waiters, and region states."""
         with self._lock:
@@ -1643,42 +1481,6 @@ class CoordinatorEngine:
             finally:
                 self._release(locks)
 
-    def _maybe_deadlock_serial(self) -> None:
-        """Serial-mode detection — caller holds the shared firing lock
-        (exactly the pre-region-parallel behaviour)."""
-        if self._parties:
-            threshold = len(self._parties)
-            grace = self.detection_grace
-        elif self.expected_parties is not None:
-            threshold = self.expected_parties
-            grace = 0.0
-        else:
-            return
-        stuck = self._pending_count()
-        if stuck < threshold or self._blocked < threshold:
-            self._suspect = None
-            return
-        if grace > 0.0:
-            mark = (self.steps, self._party_gen, stuck)
-            now = time.monotonic()
-            if self._suspect is None or self._suspect[0] != mark:
-                self._suspect = (mark, now)
-                return
-            if now - self._suspect[1] < grace:
-                return
-        err = self._stuck_error(threshold)
-        for qmap, was_send in (
-            (self._pending_send, True),
-            (self._pending_recv, False),
-        ):
-            for q in qmap.values():
-                for op in q:
-                    op.error = err
-                    self._count_withdrawn(op.vertex, was_send)
-                q.clear()
-        self._suspect = None
-        self._cond.notify_all()
-
     def _stuck_error(self, threshold: int) -> Exception:
         """The error delivered to all blocked parties: a PeerFailedError
         blaming the first crashed peer when supervision recorded one, else a
@@ -1711,27 +1513,6 @@ class CoordinatorEngine:
 
     # ------------------------------------------------------- firing engine
 
-    def _pending_vertices(self):
-        out = []
-        for v, q in self._pending_send.items():
-            if q:
-                out.append(v)
-        for v, q in self._pending_recv.items():
-            if q:
-                out.append(v)
-        return out
-
-    def _drain_serial(self) -> None:
-        """Fire enabled transitions until quiescence (shared lock held) —
-        the pre-region-parallel global rescan, kept as the benchmark
-        baseline."""
-        fired = True
-        while fired:
-            fired = False
-            for region in self.regions:
-                while self._fire_one(region, None, None):
-                    fired = True
-
     def _drain_region(self, region, spill: list) -> None:
         """Fire ``region`` until quiescent (its lock held).  Regions whose
         shared buffers changed are marked dirty and appended to ``spill``
@@ -1742,7 +1523,6 @@ class CoordinatorEngine:
             region.compiled
             and not self._observing
             and not self._vertex_party
-            and not self._serial
         ):
             # Unobserved fast path: fuse the whole drain into one loop so
             # the per-fire dispatch prologue (metrics/tracer/trace-lock
@@ -1816,9 +1596,6 @@ class CoordinatorEngine:
     def _drain_all_locked(self) -> None:
         """Drain every dirty region to quiescence (all region locks held —
         construction, restore, reconfigure, and detection self-heal)."""
-        if self._serial:
-            self._drain_serial()
-            return
         again = True
         while again:
             again = False
@@ -1840,8 +1617,7 @@ class CoordinatorEngine:
         running interpreted, with identical behaviour.
 
         ``pending`` is the region's incrementally maintained pending-vertex
-        set, or ``None`` in serial mode (which rebuilds the global list per
-        attempt, as the baseline always did).  ``spill`` collects regions
+        set.  ``spill`` collects regions
         signalled through shared buffers; ``None`` means the caller holds
         every region lock and will consult dirty flags directly.
         """
@@ -1887,11 +1663,8 @@ class CoordinatorEngine:
             return False
         mx = self._metrics
         tracing = self.tracer is not None
-        serial = self._serial
         obs = mx is not None or tracing or bool(self._vertex_party)
-        trace_lock = self._trace_lock if (tracing and not serial) else None
-        if pending is None:
-            pending = _NULL_PEND
+        trace_lock = self._trace_lock if tracing else None
         state0 = region.state
         start = region.cursors.get(state0, 0) % n
         # Coarser than the interpreter's per-candidate critical section
@@ -1960,8 +1733,6 @@ class CoordinatorEngine:
                                 (v, t - te if te else 0.0) for v, te in enq
                             ),
                         )
-                if serial:
-                    self._cond.notify_all()
                 return True
             return False
         finally:
@@ -1972,8 +1743,6 @@ class CoordinatorEngine:
         """The interpretive firing engine — the always-correct tier every
         region can fall back to (plan evaluation via
         :class:`~repro.automata.simplify.FiringPlan`)."""
-        if pending is None:
-            pending = self._pending_vertices()
         steps = region.candidates(pending)
         n = len(steps)
         if n == 0:
@@ -1981,12 +1750,11 @@ class CoordinatorEngine:
         mx = self._metrics
         tracing = self.tracer is not None
         observing = mx is not None or tracing
-        serial = self._serial
         # Cross-region trace causality: holding the trace lock from probe to
         # record means a consumer region can only observe (and record) a
         # value strictly after its producer's record — the tracer's sequence
         # numbers then respect buffer causality even across OS threads.
-        trace_lock = self._trace_lock if (tracing and not serial) else None
+        trace_lock = self._trace_lock if tracing else None
         # Fairness: round-robin over the candidate list, with one cursor
         # *per control state*.  A cursor is an index into this state's
         # candidate list; the old engine shared one cursor per region, so a
@@ -2049,7 +1817,7 @@ class CoordinatorEngine:
                         if ev is not None:
                             ev.set()
                         completed_sends.append(v)
-                        if not serial and not sq:
+                        if not sq:
                             pending.pop(v, None)
                     else:
                         rq = self._pending_recv.get(v)
@@ -2062,7 +1830,7 @@ class CoordinatorEngine:
                         if ev is not None:
                             ev.set()
                         completed_recvs.append(v)
-                        if not serial and not rq:
+                        if not rq:
                             pending.pop(v, None)
                     if mx is not None:
                         # Inline (no call frames): at ~10 µs/step the metric
@@ -2127,8 +1895,6 @@ class CoordinatorEngine:
             finally:
                 if trace_lock is not None:
                     trace_lock.release()
-            if serial:
-                self._cond.notify_all()
             return True
         return False
 
@@ -2158,42 +1924,6 @@ class CoordinatorEngine:
                     self._plan_for(t)
                     count += 1
         return count
-
-    def kick_buffers(self, names) -> None:
-        """Mark every region watching ``names`` dirty and drain the cascade.
-
-        The ingress half of the cross-process τ-flow relay (see
-        :mod:`repro.runtime.workers`): a peer process changed these shared
-        buffers, so the regions reading them must re-scan exactly as if a
-        local firing had touched them.  Built from ``buffer_names()``
-        directly rather than ``_watchers`` — that map only carries buffers
-        shared by >1 *local* region, while a kicked buffer's other watcher
-        lives in a different process."""
-        name_set = frozenset(names)
-        targets = [
-            r for r in self.regions
-            if r.live and not name_set.isdisjoint(r.buffer_names())
-        ]
-        if not targets:
-            return
-        if self._serial:
-            with self._cond:
-                for r in targets:
-                    r.dirty = True
-                self._drain_serial()
-                self._cond.notify_all()
-            return
-        spill: list = []
-        for r in targets:
-            r.dirty = True
-            spill.append(r)
-        self._chase(spill)
-
-    def routing_table(self) -> dict[str, int]:
-        """Vertex → region-index map (exported so the workers backend can
-        replicate the adoption-time routing across processes, and for
-        diagnostics)."""
-        return {v: r.idx for v, r in self._route.items()}
 
     # ------------------------------------------------------------- sampling
 
@@ -2231,7 +1961,6 @@ class CoordinatorEngine:
             "blocked": self._blocked,
             "shed": self.dead.count(),
             "draining": self._draining,
-            "concurrency": self.concurrency,
             "step_tier": self._compiled,
         }
         expansions = 0
@@ -2251,24 +1980,3 @@ class CoordinatorEngine:
         out["compiled_states"] = compiled_states
         return out
 
-
-def make_engine(regions, buffers, sources, sinks, *, concurrency="regions",
-                workers=2, **kwargs):
-    """Backend-selecting engine factory.
-
-    ``"regions"`` and ``"global"`` build the in-process
-    :class:`CoordinatorEngine`; ``"workers"`` builds the multiprocess
-    :class:`~repro.runtime.workers.WorkerCoordinatorEngine` (imported
-    lazily — it forks at construction, which callers on the thread
-    backends should never pay for).  ``workers`` is only meaningful for
-    the multiprocess backend.
-    """
-    if concurrency == "workers":
-        from repro.runtime.workers import WorkerCoordinatorEngine
-
-        return WorkerCoordinatorEngine(
-            regions, buffers, sources, sinks, workers=workers, **kwargs
-        )
-    return CoordinatorEngine(
-        regions, buffers, sources, sinks, concurrency=concurrency, **kwargs
-    )

@@ -259,8 +259,6 @@ class FarmSession(Session):
         default_timeout: float = ADMIN_TIMEOUT,
         durability=None,
         auto_checkpoint: float | None = None,
-        concurrency: str = "regions",
-        engine_workers: int | None = None,
     ):
         super().__init__(name, tenant, factory=self._build)
         if workers < 1:
@@ -276,11 +274,6 @@ class FarmSession(Session):
         self.default_timeout = default_timeout
         self.durability = durability
         self.auto_checkpoint = auto_checkpoint
-        #: Engine backend for the session's router ("regions" | "global" |
-        #: "workers"); with "workers", ``engine_workers`` caps the region
-        #: worker *processes* (distinct from ``workers``, the farm size).
-        self.concurrency = concurrency
-        self.engine_workers = engine_workers
         self._auto_thread: threading.Thread | None = None
         self._auto_stop = threading.Event()
 
@@ -308,11 +301,6 @@ class FarmSession(Session):
     # -- construction (called by the Session lifecycle) ---------------------
 
     def _build(self):
-        options = {}
-        if self.concurrency != "regions":
-            options["concurrency"] = self.concurrency
-        if self.engine_workers is not None:
-            options["workers"] = self.engine_workers
         conn = library.connector(
             "EarlyAsyncRouter",
             self.workers,
@@ -320,7 +308,6 @@ class FarmSession(Session):
             overload=self.policy,
             default_timeout=self.default_timeout,
             metrics=self.registry,
-            **options,
         )
         out = Outport(f"{self.name}:intake")
         ins = [Inport(f"{self.name}:w{k}") for k in range(self.workers)]
@@ -348,8 +335,6 @@ class FarmSession(Session):
             "service_time": self.service_time,
             "default_timeout": self.default_timeout,
             "policy": policy,
-            "concurrency": self.concurrency,
-            "engine_workers": self.engine_workers,
         }
 
     def open(self) -> "FarmSession":

@@ -147,3 +147,21 @@ def test_connector_options_forwarded(fig9_source):
         composition="aot",
     )
     assert results[-1] == [0, 0]
+
+
+def test_step_tier_option_forwarded(fig9_source):
+    """``compiled=`` is the connector's step-tier option, not run_main's
+    first parameter (which is positional-only)."""
+    program = compile_source(fig9_source)
+
+    def pro(out):
+        out.send(0)
+
+    def con(ins):
+        return [p.recv() for p in ins]
+
+    tasks = {"Tasks.pro": pro, "Tasks.con": con}
+    results = run_main(program, tasks, params={"N": 2}, compiled="off")
+    assert results[-1] == [0, 0]
+    with pytest.raises(ValueError, match="compiled must be"):
+        run_main(program, tasks, params={"N": 2}, compiled="bogus")

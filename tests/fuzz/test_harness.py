@@ -1,5 +1,7 @@
 """Differential harness end-to-end: sweeps, floods, injection, chaos."""
 
+import dataclasses
+
 import pytest
 
 from repro.fuzz.gen import from_library, generate
@@ -11,7 +13,13 @@ from repro.fuzz.shrink import (
     shrink,
     to_replay,
 )
-from repro.fuzz.sim import Schedule, build_script, make_schedule
+from repro.fuzz.sim import (
+    Batch,
+    Schedule,
+    Script,
+    build_script,
+    make_schedule,
+)
 
 
 def test_small_seed_sweep_no_divergence():
@@ -82,7 +90,8 @@ def test_injected_scheduler_bug_is_caught_shrunk_and_replayable(tmp_path):
 
 def test_clean_modes_unaffected_by_injection_elsewhere():
     """run_all applies the injection only to inject_mode; a global-mode
-    injection must still be caught by comparison against the regions modes."""
+    injection must still be caught by comparison against the regions modes
+    and against the reference's expected values."""
     program = from_library("FifoChain", 2)
     script = build_script(program, 1)
     assert script.batches
@@ -104,6 +113,33 @@ def test_run_connector_mode_never_raises_on_bad_schedule():
                                 Schedule(checkpoint_at=10 ** 6),
                                 "regions-jit")
     assert not result.anomalies
+
+
+@pytest.mark.parametrize("mode", ["regions-jit", "global-aot"])
+def test_recv_value_checked_against_reference(mode):
+    """Every completed receive is checked against the value the reference
+    simulator expected for it, so a scheduler bug shared by all modes (they
+    all run the one engine) still surfaces.  Altering one expected value in
+    the script must produce exactly that anomaly."""
+    program = from_library("FifoChain", 2)
+    script = build_script(program, 1)
+    assert not run_connector_mode(program, script, Schedule(),
+                                  mode).anomalies
+    bi, oi = next(
+        (bi, oi)
+        for bi, batch in enumerate(script.batches)
+        for oi, op in enumerate(batch.ops)
+        if op.kind == "recv"
+    )
+    ops = list(script.batches[bi].ops)
+    ops[oi] = dataclasses.replace(ops[oi], value=("altered", ops[oi].value))
+    batches = list(script.batches)
+    batches[bi] = Batch(tuple(ops))
+    altered = Script(batches=batches, flood_points=script.flood_points)
+    result = run_connector_mode(program, altered, Schedule(), mode)
+    assert len(result.anomalies) == 1, result.anomalies
+    assert f"batch {bi} recv@{ops[oi].vertex}" in result.anomalies[0]
+    assert "reference expected ('altered'" in result.anomalies[0]
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -179,9 +179,9 @@ def workload(name, n):
     raise AssertionError(f"no workload for {name}")
 
 
-def make(name, n, tracer, compiled="auto", **backend):
+def make(name, n, tracer, compiled="auto"):
     conn = library.connector(name, n, default_timeout=OP_TIMEOUT,
-                             tracer=tracer, compiled=compiled, **backend)
+                             tracer=tracer, compiled=compiled)
     outs, ins = mkports(len(conn.tail_vertices), len(conn.head_vertices))
     conn.connect(outs, ins)
     return conn, outs, ins
@@ -251,64 +251,6 @@ def test_checkpoint_roundtrip(name, n, tiers, tmp_path):
     assert end1.buffers == end2.buffers, (name, n)
     assert end1.steps == end2.steps, (name, n)
     assert end1.regions == end2.regions, (name, n)
-
-
-# All three backends get the same partitioned region structure — a
-# checkpoint's region tuple is indexed by global region position, so the
-# source and target must agree on the decomposition (they do in practice:
-# partitioning is a property of the compiled protocol, not the backend).
-BACKENDS = {
-    "regions": dict(concurrency="regions", use_partitioning=True),
-    "global": dict(concurrency="global", use_partitioning=True),
-    "workers": dict(concurrency="workers", workers=2, use_partitioning=True),
-}
-
-# Representative slice of the connector families: synchronous fan-in,
-# synchronous fan-out, buffered cross-region flow, and a pure control
-# token loop.  The full 18×3 sweep above already covers state encoding;
-# this matrix pins the *backend-portability* of the format.
-CROSS_NAMES = ("Merger", "Replicator", "EarlyAsyncRouter", "Sequencer")
-CROSS_PAIRS = [
-    ("workers", "regions"),
-    ("regions", "workers"),
-    ("workers", "global"),
-    ("global", "workers"),
-]
-
-
-@pytest.mark.parametrize("src,dst", CROSS_PAIRS, ids=lambda b: b)
-@pytest.mark.parametrize("name", CROSS_NAMES)
-def test_cross_backend_migration(name, src, dst, tmp_path):
-    """A checkpoint taken under one engine backend restores under another.
-
-    The workers backend merges per-process region states by global region
-    index into the same :class:`Checkpoint` dataclass the thread engines
-    produce, so snapshots must migrate workers ↔ regions ↔ global without
-    translation — including a trip through the durable on-disk format.
-    Boundary observations and the final protocol state must match a run
-    that continued on the source backend."""
-    n = 3
-    phase_a, phase_b = workload(name, n)
-
-    tracer1 = TraceRecorder()
-    c1, outs1, ins1 = make(name, n, tracer1, **BACKENDS[src])
-    run_phase(c1, outs1, ins1, phase_a)
-    cp = durable_hop(c1.checkpoint(), tmp_path, f"{src}-{dst}-{name}")
-    obs1 = run_phase(c1, outs1, ins1, phase_b)
-    end1 = c1.checkpoint()
-    c1.close()
-
-    tracer2 = TraceRecorder()
-    c2, outs2, ins2 = make(name, n, tracer2, **BACKENDS[dst])
-    c2.restore(cp)
-    obs2 = run_phase(c2, outs2, ins2, phase_b)
-    end2 = c2.checkpoint()
-    c2.close()
-
-    assert obs1 == obs2, (name, src, dst)
-    assert end1.buffers == end2.buffers, (name, src, dst)
-    assert end1.steps == end2.steps, (name, src, dst)
-    assert end1.regions == end2.regions, (name, src, dst)
 
 
 def test_snapshot_forward_compat(tmp_path):

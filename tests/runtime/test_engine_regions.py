@@ -1,6 +1,6 @@
 """Region-parallel engine: routing, dirty-region signalling, wakeup slots,
-the serial baseline, and the recovery/overload cold paths under per-region
-locking (docs/INTERNALS.md §"Engine concurrency model")."""
+and the recovery/overload cold paths under per-region locking
+(docs/INTERNALS.md §"Engine concurrency model")."""
 
 import threading
 
@@ -58,13 +58,11 @@ def test_lanes_partition_into_independent_regions():
     conn.close()
 
 
-@pytest.mark.parametrize("concurrency", ["regions", "global"])
-def test_lanes_pump_concurrently(concurrency):
+def test_lanes_pump_concurrently():
     """k producer/consumer pairs hammer their own lanes from 2k threads;
-    every lane stays FIFO and loses nothing — in both engine modes."""
+    every lane stays FIFO and loses nothing."""
     k, m = 4, 50
-    conn = lanes_connector(k, concurrency=concurrency,
-                           default_timeout=OP_TIMEOUT)
+    conn = lanes_connector(k, default_timeout=OP_TIMEOUT)
     outs, ins = mkports(k, k)
     conn.connect(outs, ins)
     got: dict[int, list] = {i: [] for i in range(k)}
@@ -169,29 +167,6 @@ def test_checkpoint_restore_multi_region():
     assert ins[0].recv() == "x"
     assert ins[1].recv() == "y"
     conn.close()
-
-
-def test_concurrency_option_validated():
-    with pytest.raises(ValueError):
-        lanes_connector(1, concurrency="both")
-
-
-def test_global_mode_stats_and_steps_match_semantics():
-    """The serial baseline is the same engine observable-wise: exact step
-    counts, same stats shape."""
-    results = {}
-    for mode in ("regions", "global"):
-        conn = lanes_connector(1, concurrency=mode)
-        outs, ins = mkports(1, 1)
-        conn.connect(outs, ins)
-        for i in range(5):
-            outs[0].send(i)
-            ins[0].recv()
-        results[mode] = (conn.steps, conn.stats()["concurrency"])
-        conn.close()
-    assert results["regions"][0] == results["global"][0]
-    assert results["regions"][1] == "regions"
-    assert results["global"][1] == "global"
 
 
 def test_wakeup_slots_complete_blocked_parties():

@@ -177,7 +177,6 @@ def test_spec_validation():
         "slow_task",
         "flood",
         "latency_spike",
-        "worker_kill",
     }
     with pytest.raises(ValueError, match="factor"):
         FaultSpec("flood", "p", 1)  # flood needs factor >= 1

@@ -115,8 +115,7 @@ def test_rseq_contiguous_under_regions_engine():
     rseq 0..k-1 in recording order."""
     tracer = TraceRecorder()
     conn = library.connector(
-        "FifoChain", 3, tracer=tracer,
-        concurrency="regions", use_partitioning=True,
+        "FifoChain", 3, tracer=tracer, use_partitioning=True,
     )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)

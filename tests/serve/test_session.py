@@ -8,6 +8,7 @@ import pytest
 
 from repro.connectors import library
 from repro.fuzz.oracle import conservation_violations
+from repro.runtime.engine import CoordinatorEngine
 from repro.runtime.errors import RuntimeProtocolError
 from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import Inport, Outport
@@ -17,6 +18,7 @@ from repro.serve.session import (
     SessionState,
     SessionStateError,
 )
+from repro.serve.service import CoordinatorService
 
 POLICY = OverloadPolicy("shed_newest", max_pending=16,
                         dead_letter_capacity=10_000)
@@ -109,24 +111,40 @@ def test_farm_delivers_and_accounts():
     assert conservation_violations(s.registry) == []
 
 
-@pytest.mark.fault_stress
-def test_farm_on_workers_backend_delivers_and_records_meta():
-    """Opt-in multiprocess engine backend: the farm's router regions run
-    in worker processes, and the backend choice survives into the durable
-    metadata so ``recover_sessions`` rebuilds like-for-like."""
-    s = FarmSession("pfarm", workers=2, policy=POLICY,
-                    concurrency="workers", engine_workers=2,
-                    default_timeout=15.0).open()
+def test_recover_ignores_legacy_engine_backend_meta(tmp_path, monkeypatch):
+    """State dirs written when sessions could pick an engine backend carry
+    ``concurrency``/``engine_workers`` in their durable meta.  Checkpoints
+    are engine-independent, so recovery ignores those keys and rebuilds the
+    session, delivered book intact, on the in-process engine."""
+    legacy = {"concurrency": "workers", "engine_workers": 2}
+    meta = FarmSession._durable_meta
+    monkeypatch.setattr(FarmSession, "_durable_meta",
+                        lambda self: {**meta(self), **legacy})
+    svc1 = CoordinatorService(state_dir=tmp_path)
+    s = svc1.open_session("old", policy=OverloadPolicy("block"))
+    for j in range(10):
+        assert s.submit(f"v{j}", timeout=5.0) == "ok"
+    assert _drain_to(s, 10) == 10
+    svc1.durable_checkpoint("old")
+    book = list(s.delivered)
+    svc1.quarantine("old")  # crash: no drain, no final snapshot
+    svc1.close()
+    monkeypatch.undo()
+
+    svc2 = CoordinatorService(state_dir=tmp_path)
     try:
-        for j in range(10):
-            assert s.submit(f"v{j}", timeout=15.0) == "ok"
-        assert _drain_to(s, 10, timeout=30.0) == 10
-        meta = s._durable_meta()
-        assert meta["concurrency"] == "workers"
-        assert meta["engine_workers"] == 2
+        on_disk = svc2.durable.session("old").peek_meta()
+        assert {k: on_disk[k] for k in legacy} == legacy
+        assert svc2.recover_sessions() == ["old"]
+        s2 = svc2.session("old")
+        assert s2.delivered == book
+        assert type(s2.connector.engine) is CoordinatorEngine
+        for j in range(10, 15):
+            assert s2.submit(f"v{j}", timeout=5.0) == "ok"
+        assert _drain_to(s2, 15) == 15
+        assert sorted(s2.delivered) == sorted(f"v{j}" for j in range(15))
     finally:
-        s.close()
-    assert sorted(s.delivered) == sorted(f"v{j}" for j in range(10))
+        svc2.close()
 
 
 def test_rolling_restart_is_exactly_once_under_load():

@@ -44,7 +44,6 @@ EXECUTE = {
     "docs/COMPILER.md": None,
     "docs/DURABILITY.md": None,
     "docs/OBSERVABILITY.md": None,
-    "docs/PARALLEL.md": None,
     "docs/SERVICE.md": None,
     "README.md": "Observability quickstart",
 }
