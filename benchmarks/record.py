@@ -1,10 +1,12 @@
 """Record the repo's benchmark baseline into BENCH_engine.json.
 
 Runs the engine-scaling sweep (E8), the Fig. 12 representative connector
-series (E1), and the Fig. 13 NPB panels (E2/E3), and writes one JSON
-document at the repo root with median ns/step and steps/second per
-connector × arity.  The committed file is the regression yardstick for
-CI's ``bench-smoke`` job (see .github/workflows/ci.yml), which re-measures
+series (E1), the Fig. 13 NPB panels (E2/E3) and a two-party ping-pong
+(E11), and writes one JSON document at the repo root with median ns/step
+and steps/second per connector × arity, the NPB reo/original ratios and
+the round-trip cost of an engine handoff next to a ``queue.Queue`` one.
+The committed file is the regression yardstick for CI's ``bench-smoke``
+job (see .github/workflows/ci.yml), which re-measures
 the single-region hot path at tiny sizes and fails on a >25% ns/step
 regression via ``--check``.
 
@@ -14,7 +16,9 @@ Usage::
     python benchmarks/record.py --quick            # small windows, no NPB
     python benchmarks/record.py --check            # regression gate (CI)
 
-Medians of ``--repeats`` independent runs are recorded, with the garbage
+Medians of ``--repeats`` independent runs are recorded (for the NPB panels,
+``FIG13_PAIRS`` interleaved reo/original pairs; for the ping-pong,
+interleaved engine/queue repeats; both with quartiles), with the garbage
 collector disabled around each timed section (the same discipline as
 ``pytest --benchmark-disable-gc``).
 """
@@ -24,8 +28,11 @@ import gc
 import json
 import pathlib
 import platform
+import queue
 import statistics
 import sys
+import threading
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -41,6 +48,17 @@ REGRESSION_BUDGET = 1.25
 #: interpreter on the Fig. 12 firing-cost sweep drops below this (the
 #: compiled tier's reason to exist; see docs/COMPILER.md).
 STEP_SPEEDUP_FLOOR = 5.0
+
+#: ROADMAP item 2's handoff target: an engine ping-pong round trip costs at
+#: most this many times a ``queue.Queue`` one.  ``--check`` prints the
+#: ratio but does not gate it (a noisy 2-core host reads ~1.8x).
+PINGPONG_TARGET = 1.5
+
+#: Interleaved reo/original pairs per NPB program, recorded and checked
+#: alike.  The per-pair ratio drifts with the host's load phases (a second
+#: or two long), so the pairs must span several phases: on a shared 2-vCPU
+#: host, 7–15 pairs of cg/S/4 read medians from 1.6 to 2.2 minutes apart.
+FIG13_PAIRS = 25
 
 FIG12_CONNECTORS = ("Replicator", "EarlyAsyncMerger", "Sequencer",
                     "SequencedMerger")
@@ -110,30 +128,110 @@ def record_fig12_steps(backlog, repeats):
             "geomean_speedup": round(geomean_speedup(rows), 2)}
 
 
-def _fig13_secs(fn, repeats):
-    secs = []
+def _spread(samples, digits):
+    """Median and quartiles of ``samples``, rounded to ``digits``."""
+    q1, med, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": round(med, digits), "q1": round(q1, digits),
+            "q3": round(q3, digits)}
+
+
+def _fig13_pairs(mod, pairs):
+    """Run ``pairs`` interleaved reo/original solves of ``mod`` at S/4,
+    alternating which side goes first.  Both sides of a pair see the same
+    host phase, so drift cancels in the per-pair ratio (perfbench/README.md
+    §"Relation to BENCH_engine.json").  One untimed solve per side first
+    keeps first-call set-up (imports, connector compilation) out of the
+    pairs.  Returns (reo_s, original_s)."""
+    mod.run_reo("S", 4)
+    mod.run_original("S", 4)
+    reo, orig = [], []
     gc.disable()
     try:
-        for _ in range(repeats):
-            result = fn()
-            assert result.verified
-            secs.append(result.seconds)
+        for i in range(pairs):
+            sides = [(mod.run_reo, reo), (mod.run_original, orig)]
+            for fn, out in sides[::-1] if i % 2 else sides:
+                result = fn("S", 4)
+                assert result.verified
+                out.append(result.seconds)
     finally:
         gc.enable()
-    return secs
+    return reo, orig
 
 
-def record_fig13(repeats):
+def _pair_ratios(reo, orig):
+    return [r / o for r, o in zip(reo, orig)]
+
+
+def record_fig13():
     from repro.npb import cg, lu
 
     rows = {}
     for prog_name, mod in (("cg", cg), ("lu", lu)):
-        for label, fn in (("original", mod.run_original), ("reo", mod.run_reo)):
-            secs = _fig13_secs(lambda f=fn: f("S", 4), repeats)
-            rows[f"{prog_name}/S/4/{label}"] = {
-                "seconds": round(statistics.median(secs), 4)
-            }
+        reo, orig = _fig13_pairs(mod, FIG13_PAIRS)
+        rows[f"{prog_name}/S/4/original"] = {
+            "seconds": round(statistics.median(orig), 4)}
+        rows[f"{prog_name}/S/4/reo"] = {
+            "seconds": round(statistics.median(reo), 4)}
+        rows[f"{prog_name}/S/4/reo_over_original"] = _spread(
+            _pair_ratios(reo, orig), 3)
     return rows
+
+
+def _round_trips(send, recv, echo_send, echo_recv, rounds):
+    """µs per round trip: this thread sends and awaits the echo that a
+    second thread returns."""
+    def echo():
+        for _ in range(rounds):
+            echo_send(echo_recv())
+
+    t = threading.Thread(target=echo)
+    t.start()
+    t0 = time.perf_counter()
+    for i in range(rounds):
+        send(i)
+        recv()
+    dt = time.perf_counter() - t0
+    t.join()
+    return dt / rounds * 1e6
+
+
+def _pingpong_regions(rounds):
+    from repro.connectors import library
+    from repro.runtime.ports import mkports
+
+    ping, pong = library.connector("Replicator", 1), library.connector(
+        "Replicator", 1)
+    (ping_out,), (ping_in,) = mkports(1, 1)
+    (pong_out,), (pong_in,) = mkports(1, 1)
+    ping.connect([ping_out], [ping_in])
+    pong.connect([pong_out], [pong_in])
+    try:
+        return _round_trips(ping_out.send, pong_in.recv, pong_out.send,
+                            ping_in.recv, rounds)
+    finally:
+        ping.close()
+        pong.close()
+
+
+def _pingpong_queue(rounds):
+    ping, pong = queue.Queue(1), queue.Queue(1)
+    return _round_trips(ping.put, pong.get, pong.put, ping.get, rounds)
+
+
+def record_pingpong(rounds, repeats):
+    """Two-party round trips through two synchronous ``Replicator(1)``
+    connectors (one engine handoff each way) and through two
+    ``queue.Queue(1)``, repeats interleaved so both see the same host."""
+    us = {"regions": [], "queue": []}
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            us["regions"].append(_pingpong_regions(rounds))
+            us["queue"].append(_pingpong_queue(rounds))
+    finally:
+        gc.enable()
+    return {f"pingpong/{name}": _spread(samples, 1)
+            for name, samples in us.items()}
 
 
 def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
@@ -153,8 +251,10 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
             backlog=500 if quick else 2000, repeats=repeats
         ),
     }
+    doc["pingpong"] = record_pingpong(rounds=500 if quick else 2000,
+                                      repeats=repeats)
     if not quick:
-        doc["fig13_npb"] = record_fig13(repeats=repeats)
+        doc["fig13_npb"] = record_fig13()
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
@@ -193,6 +293,7 @@ def check(baseline_path: pathlib.Path) -> int:
     rc = _check_fig13(baseline.get("fig13_npb"))
     if rc:
         return rc
+    _report_pingpong()
     print("OK")
     return 0
 
@@ -239,28 +340,29 @@ def _check_steps(baseline_steps) -> int:
 
 
 def _check_fig13(baseline_rows) -> int:
-    """The fig13 gate: re-measure the NPB panels and gate the
-    reo/original *ratio* against the committed baseline's ratio with the
-    standard budget.  Gating the ratio makes the check immune to
-    host-speed drift (both variants run on the same box), while still
-    tripping when the protocol layer's overhead grows relative to the
-    hand-threaded original — the figure the paper is about."""
+    """The fig13 gate: re-measure the NPB panels as interleaved
+    reo/original pairs and gate the median per-pair ratio against the
+    committed baseline's with the standard budget.  Gating the ratio makes
+    the check immune to host-speed drift (both variants of a pair run on
+    the same box in the same phase), while still tripping when the
+    protocol layer's overhead grows relative to the hand-threaded
+    original — the figure the paper is about."""
     if not baseline_rows:
         print("fig13: no baseline rows recorded — skipping gate")
         return 0
     from repro.npb import cg, lu
 
     for prog_name, mod in (("cg", cg), ("lu", lu)):
-        base_orig = baseline_rows.get(f"{prog_name}/S/4/original")
-        base_reo = baseline_rows.get(f"{prog_name}/S/4/reo")
-        if not (base_orig and base_reo):
+        base = baseline_rows.get(f"{prog_name}/S/4/reo_over_original")
+        if not base:
+            print(f"fig13 {prog_name}: no reo_over_original baseline row — "
+                  "skipping gate")
             continue
-        base_ratio = base_reo["seconds"] / base_orig["seconds"]
-        # min-of-2: NPB runs are seconds-scale and one-sided noisy.
-        orig = min(_fig13_secs(lambda: mod.run_original("S", 4), 2))
-        reo = min(_fig13_secs(lambda: mod.run_reo("S", 4), 2))
-        ratio = reo / orig
-        print(f"fig13 {prog_name}/S/4 reo/original ratio: {ratio:.2f}x "
+        base_ratio = base["median"]
+        ratio = statistics.median(
+            _pair_ratios(*_fig13_pairs(mod, FIG13_PAIRS)))
+        print(f"fig13 {prog_name}/S/4 reo/original ratio (median of "
+              f"{FIG13_PAIRS} pairs): {ratio:.2f}x "
               f"(baseline {base_ratio:.2f}x, "
               f"budget {REGRESSION_BUDGET:.2f}x drift)")
         if ratio / base_ratio > REGRESSION_BUDGET:
@@ -268,6 +370,17 @@ def _check_fig13(baseline_rows) -> int:
                   "budget")
             return 1
     return 0
+
+
+def _report_pingpong() -> None:
+    """Print the engine's ping-pong cost against ``queue.Queue`` and
+    ROADMAP item 2's target — reported, not gated."""
+    rows = record_pingpong(rounds=2000, repeats=5)
+    engine = rows["pingpong/regions"]["median"]
+    q = rows["pingpong/queue"]["median"]
+    print(f"ping-pong round trip: regions {engine:.1f} us, queue.Queue "
+          f"{q:.1f} us ({engine / q:.2f}x, target {PINGPONG_TARGET:.1f}x; "
+          "reported, not gated)")
 
 
 def main(argv=None) -> int:

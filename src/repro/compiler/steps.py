@@ -134,10 +134,10 @@ class StepCompiler:
     """Specializes transitions against one engine's concrete run-time state.
 
     Bound (at construction) to the engine's pending-op queue maps, buffer
-    store, boundary signature, registry, and closed-vertex set — the exact
-    objects the emitted closures capture.  The engine builds a fresh
-    compiler in ``_adopt_regions`` so construction *and* reconfigure bind
-    current objects.
+    store, boundary signature, registry, closed-vertex set, and wake
+    function — the exact objects the emitted closures capture.  The engine
+    builds a fresh compiler in ``_adopt_regions`` so construction *and*
+    reconfigure bind current objects.
     """
 
     def __init__(
@@ -149,6 +149,7 @@ class StepCompiler:
         sinks: frozenset[str],
         registry: FunctionRegistry,
         closed_vertices: set,
+        wake,
     ):
         self._pending_send = pending_send
         self._pending_recv = pending_recv
@@ -157,6 +158,7 @@ class StepCompiler:
         self._sinks = sinks
         self._registry = registry
         self._closed = closed_vertices
+        self._wake = wake
 
     # ------------------------------------------------------------------
 
@@ -323,9 +325,11 @@ class StepCompiler:
                 if v in deliver:
                     body.append(f"{op}.value = _s{deliver[v]}")
                 body.append(f"{op}.done = True")
-                body.append(f"_e = {op}.event")
-                body.append("if _e is not None:")
-                body.append("    _e.set()")
+                # A parked submitter is woken through the engine, which
+                # releases its slot at most once.
+                ns["_wake"] = self._wake
+                body.append(f"if {op}.slot is not None:")
+                body.append(f"    _wake({op})")
                 body.append(f"if not {qvar[v]}:")
                 body.append(f"    pending.pop({v!r}, None)")
 

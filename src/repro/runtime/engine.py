@@ -35,9 +35,11 @@ that independence:
   pending-vertex set (``region.pend``) as ops enqueue/dequeue, so
   :meth:`_fire_one` never rebuilds a global pending list, and a region
   whose dirty flag is clear is skipped without any scan at all;
-* **per-party wakeup slots**: every blocked operation carries its own
-  :class:`threading.Event`, set when a firing completes (or fails) exactly
-  that operation — no global ``notify_all`` thundering herd.
+* **parking slots**: every blocked operation parks on its own raw
+  ``_thread`` lock, released exactly once by whoever resolves that
+  operation — no global ``notify_all`` thundering herd, no engine-wide lock
+  on the park path, and no polling: deadlock detection runs when a park
+  completes the party count (see :meth:`_deadlock_check`).
 
 Lock order (outermost first): the registry lock ``_lock`` → region locks in
 ascending ``region.idx`` → leaf locks (tracer, dead-letter buffer, the
@@ -90,6 +92,7 @@ from __future__ import annotations
 
 import threading
 import time
+from _thread import allocate_lock as _new_slot
 from collections import deque
 from typing import Sequence
 
@@ -114,9 +117,6 @@ from repro.util.errors import (
     RuntimeProtocolError,
 )
 
-#: How long a blocked operation waits between deadlock/timeout re-checks.
-_WAIT_TICK = 0.1
-
 #: Bitmask for the sampled latency histogram (LATENCY_STRIDE is a power
 #: of two; ``steps & mask == 0`` is measurably cheaper than ``%``).
 _LAT_MASK = LATENCY_STRIDE - 1
@@ -135,13 +135,16 @@ class _Op:
     ``t_enq``/``steps_enq`` record when the op entered its queue (wall
     clock and engine step count) — the watchdog's raw material for telling
     a *stalled* party (old op, engine still firing) from a deadlock.
-    ``event`` is the op's private wakeup slot: installed only when the
-    submitter actually blocks, set exactly when a firing (or a failure)
-    resolves this op.
+    ``slot`` is the op's parking slot: a raw lock, acquired and installed
+    under the owner region lock only when the submitter actually parks.
+    A resolver (firing, failure, shed, deadlock delivery) or a wake-up
+    call (:meth:`CoordinatorEngine._wake_all_locked`) clears the field
+    under that lock and then releases the slot, so each installation is
+    released at most once.
     """
 
     __slots__ = ("vertex", "value", "done", "error", "t_enq", "steps_enq",
-                 "event")
+                 "slot")
 
     def __init__(self, vertex: str, value=None):
         self.vertex = vertex
@@ -150,7 +153,7 @@ class _Op:
         self.error: Exception | None = None
         self.t_enq = 0.0
         self.steps_enq = 0
-        self.event: threading.Event | None = None
+        self.slot = None  # parking slot (a _thread lock) while parked
 
 
 class _Party:
@@ -353,8 +356,8 @@ class CoordinatorEngine:
         self._step_compiler = None
 
         # Registry lock — outermost in the lock order.  Guards the party
-        # registry, the blocked-waiter count, and the deadlock suspect;
-        # cold paths additionally take every region lock under it.
+        # registry and the deadlock suspect; cold paths additionally take
+        # every region lock under it.  The park path never takes it.
         self._lock = threading.Lock()
         # Leaf locks: shared metric structures (latency histogram, shed /
         # rejected memo dicts) and cross-region trace causality.
@@ -366,7 +369,12 @@ class CoordinatorEngine:
         self._closed_vertices: set[str] = set()
         self._vertex_errors: dict[str, Exception] = {}
         self._closed = False
-        self._blocked = 0
+        # One entry per installed parking slot: appended when a slot is
+        # installed, popped when it is released or withdrawn, always under
+        # the op's region lock (or every lock).  A deque because append,
+        # pop and len are atomic, so regions count without a shared lock;
+        # under stop-the-world the length is exact.
+        self._parked: deque = deque()
 
         self._policies = self._normalize_policies(overload, sources, sinks)
         self.dead = DeadLetterBuffer()
@@ -383,7 +391,7 @@ class CoordinatorEngine:
         self._party_gen = 0  # bumped on every (un)registration
         self._peer_failures: list[PeerFailedError] = []
         # Candidate deadlock sighting awaiting confirmation:
-        # ((steps, party_gen, stuck), first_seen_monotonic).
+        # ((steps, party_gen, stuck), first_seen_monotonic, raiser_op).
         self._suspect: tuple | None = None
 
         self._plans: dict[tuple, FiringPlan] = {}
@@ -717,6 +725,7 @@ class CoordinatorEngine:
             self.sinks,
             self.registry,
             self._closed_vertices,
+            self._wake,
         )
         self._step_compiler = compiler
         for r in self.regions:
@@ -768,15 +777,32 @@ class CoordinatorEngine:
             region.lock.release()
 
     def _wake_all_locked(self) -> None:
-        """Wake every parked submitter (all region locks held) through its
-        op's event.  Spurious wakes are fine — waiters re-check their op
-        and the deadlock detector."""
+        """Wake every parked submitter (all region locks held) by releasing
+        its slot.  A waiter whose op is still unresolved re-parks, and the
+        last one to re-park re-runs the deadlock detector against the
+        changed party set, closed vertices or drain mode."""
         for qmap in (self._pending_send, self._pending_recv):
             for q in qmap.values():
                 for op in q:
-                    ev = op.event
-                    if ev is not None:
-                        ev.set()
+                    self._wake(op)
+
+    def _wake(self, op: _Op) -> None:
+        """Release ``op``'s parking slot if one is installed (its region
+        lock, or every lock, held).  Clearing the field before the release
+        is what makes each installed slot released at most once.  A
+        suspect's raiser is therefore parked for as long as the suspect
+        stands (see :meth:`_maybe_deadlock`)."""
+        slot = op.slot
+        if slot is not None:
+            op.slot = None
+            self._parked.pop()
+            suspect = self._suspect
+            if suspect is not None and suspect[2] is op:
+                # Only the raiser re-checks a suspect, and once released it
+                # may never park again (a timeout, a shed): drop the
+                # suspect so that the next park raises a fresh one.
+                self._suspect = None
+            slot.release()
 
     # ------------------------------------------------------- recovery layer
 
@@ -815,17 +841,17 @@ class CoordinatorEngine:
             locks = self._all_locks
             self._acquire(locks)
             try:
-                return self._pending_count() == 0 and self._blocked == 0
+                return self._pending_count() == 0 and not self._parked
             finally:
                 self._release(locks)
 
     def _require_quiescent(self, action: str) -> None:
         """Caller holds ``_lock`` and every region lock."""
         pending = self._pending_count()
-        if pending or self._blocked:
+        if pending or self._parked:
             raise CheckpointError(
                 f"{action} requires a quiescent engine: {pending} pending "
-                f"operation(s), {self._blocked} blocked waiter(s)"
+                f"operation(s), {len(self._parked)} blocked waiter(s)"
             )
         if self._closed or self._closed_vertices:
             raise CheckpointError(
@@ -1121,9 +1147,7 @@ class CoordinatorEngine:
             op = queue.popleft()
             op.error = error or PortClosedError(f"vertex {op.vertex!r} closed")
             self._count_withdrawn(op.vertex, is_send)
-            ev = op.event
-            if ev is not None:
-                ev.set()
+            self._wake(op)
 
     def _check_open(self, vertex: str) -> None:
         if self._closed or vertex in self._closed_vertices:
@@ -1215,10 +1239,13 @@ class CoordinatorEngine:
                     ):
                         self._overflow(queue, op, pol, region)
                     if not op.done and op.error is None:
-                        # Park: install the op's private wakeup slot while
-                        # still under the region lock, so any later firing
-                        # or failure is guaranteed to see it.
-                        op.event = threading.Event()
+                        # Park: install the op's slot, already acquired,
+                        # while still under the region lock, so any later
+                        # firing or failure is guaranteed to release it.
+                        slot = _new_slot()
+                        slot.acquire()
+                        op.slot = slot
+                        self._parked.append(None)
             finally:
                 region.lock.release()
         finally:
@@ -1228,35 +1255,49 @@ class CoordinatorEngine:
             return
         if op.error is not None:
             raise op.error
-        self._wait_blocked(queue, op, timeout, deadline, is_send)
+        self._wait_blocked(queue, op, slot, timeout, deadline, is_send)
 
-    def _wait_blocked(self, queue: deque, op: _Op, timeout, deadline,
-                      is_send: bool = False) -> None:
-        """Blocked-submitter loop (no locks held): tick between the op's
-        event, the deadline, and the deadlock detector."""
-        ev = op.event
-        with self._lock:
-            self._blocked += 1
-        try:
-            while True:
-                self._maybe_deadlock()
-                if op.done:
-                    return
-                if op.error is not None:
-                    raise op.error
-                tick = _WAIT_TICK
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        if self._withdraw_expired(queue, op, is_send):
-                            raise ProtocolTimeoutError(op.vertex, timeout)
-                        continue  # resolved concurrently with the expiry
-                    tick = min(tick, remaining)
-                ev.wait(tick)
-                ev.clear()
-        finally:
-            with self._lock:
-                self._blocked -= 1
+    def _wait_blocked(self, queue: deque, op: _Op, slot, timeout, deadline,
+                      is_send: bool) -> None:
+        """Parked-submitter loop (no locks held): sleep on the op's slot
+        until it is released or the deadline passes.  A release that left
+        the op unresolved is a wake-up call: re-install the slot and
+        re-check for deadlock, as a park does.  ``recheck`` is set while
+        this waiter owns a deadlock suspect awaiting confirmation."""
+        recheck = self._deadlock_check(op)
+        while True:
+            wait = -1.0 if deadline is None else max(
+                0.0, deadline - time.monotonic())
+            if recheck is not None and (wait < 0 or recheck < wait):
+                wait = recheck
+            woke = slot.acquire(True, wait)
+            if op.done:
+                return
+            if op.error is not None:
+                raise op.error
+            if woke:
+                parked = False
+                region = self._acquire_owner(op.vertex)
+                if region is not None:  # None: the vertex left; op failed
+                    try:
+                        parked = not op.done and op.error is None
+                        if parked:
+                            op.slot = slot
+                            self._parked.append(None)
+                    finally:
+                        region.lock.release()
+                if parked:
+                    recheck = self._deadlock_check(op)
+                else:
+                    # Resolved while the waiter was awake, so nobody will
+                    # release the slot: hand it back for the next acquire.
+                    slot.release()
+                    recheck = None
+            elif deadline is not None and time.monotonic() >= deadline:
+                if self._withdraw_expired(queue, op, is_send):
+                    raise ProtocolTimeoutError(op.vertex, timeout)
+            elif recheck is not None:
+                recheck = self._maybe_deadlock(op)
 
     def _withdraw_expired(self, queue: deque, op: _Op, is_send: bool) -> bool:
         """Cancel a timed-out op under its owner region's lock; ``False``
@@ -1275,6 +1316,7 @@ class CoordinatorEngine:
                 pass
             if not queue:
                 region.pend.pop(op.vertex, None)
+            self._wake(op)  # drop the slot: its waiter is the caller
             self._count_withdrawn(op.vertex, is_send)
             return True
         finally:
@@ -1313,10 +1355,7 @@ class CoordinatorEngine:
             with self._stat_lock:
                 self._metrics.shed(victim.vertex, pol.kind)
         victim.done = True
-        if victim is not op:
-            ev = victim.event
-            if ev is not None:
-                ev.set()
+        self._wake(victim)
 
     # ------------------------------------------------------ overload layer
 
@@ -1413,10 +1452,26 @@ class CoordinatorEngine:
 
     # -------------------------------------------------- deadlock detection
 
-    def _maybe_deadlock(self) -> None:
+    def _deadlock_check(self, waiter: _Op):
+        """Run the detector when parked slots have reached the party
+        threshold (no locks held; lock-free otherwise).  Every park and
+        re-park calls this, so the park that completes a deadlock — or the
+        last re-park after a wake-up call — is the one that finds it.
+        Returns :meth:`_maybe_deadlock`'s result."""
+        threshold = len(self._parties) or self.expected_parties
+        if threshold is None or len(self._parked) < threshold:
+            return None
+        return self._maybe_deadlock(waiter)
+
+    def _maybe_deadlock(self, waiter: _Op):
         """Deadlock detection — caller holds *no* locks.  Takes the
         registry lock, then every region lock, for a globally consistent
-        snapshot of queues, blocked waiters, and region states."""
+        snapshot of queues, parked slots, and region states.
+
+        ``waiter`` is the calling waiter's op.  Returns the seconds until
+        that waiter should call again when it raised a registered-mode
+        suspect that is still inside its ``detection_grace`` window, else
+        ``None``."""
         with self._lock:
             if self._parties:
                 threshold = len(self._parties)
@@ -1424,7 +1479,7 @@ class CoordinatorEngine:
             elif self.expected_parties is not None:
                 threshold = self.expected_parties
             else:
-                return
+                return None
             if not self._parties:
                 grace = 0.0
             locks = self._all_locks
@@ -1440,28 +1495,30 @@ class CoordinatorEngine:
                 # ``stuck`` counts committed (queued, not-yet-completed)
                 # operations; completed operations are popped at firing time,
                 # and withdrawn (timed-out / non-blocking) operations are
-                # removed under their region lock, so each remaining entry
-                # belongs to exactly one blocked waiter.  Requiring the
-                # blocked-waiter count to agree means a non-blocking probe
-                # or an about-to-block submitter can never inflate the count
-                # into a spurious detection.
+                # removed under their region lock.  Requiring the count of
+                # parked slots to agree means a posted op, a non-blocking
+                # probe or a waiter awake between wake-up and re-park can
+                # never inflate the count into a spurious detection.
                 stuck = self._pending_count()
-                if stuck < threshold or self._blocked < threshold:
+                if stuck < threshold or len(self._parked) < threshold:
                     self._suspect = None
-                    return
+                    return None
                 if grace > 0.0:
                     # Confirmation window: a party that has not *registered*
                     # yet (e.g. a task the group is still spawning) must get
                     # a chance to appear before we conclude the registered
                     # set is complete.  Any firing or (un)registration resets
-                    # the sighting.
+                    # the sighting.  The waiter that raised it calls again
+                    # once the window has passed; a release of its slot
+                    # drops the suspect (see _wake).
                     mark = (self.steps, self._party_gen, stuck)
                     now = time.monotonic()
                     if self._suspect is None or self._suspect[0] != mark:
-                        self._suspect = (mark, now)
-                        return
-                    if now - self._suspect[1] < grace:
-                        return
+                        self._suspect = (mark, now, waiter)
+                        return grace
+                    _, since, raiser = self._suspect
+                    if now - since < grace:
+                        return since + grace - now if raiser is waiter else None
                 err = self._stuck_error(threshold)
                 for qmap, was_send in (
                     (self._pending_send, True),
@@ -1471,13 +1528,12 @@ class CoordinatorEngine:
                         for op in q:
                             op.error = err
                             self._count_withdrawn(op.vertex, was_send)
-                            ev = op.event
-                            if ev is not None:
-                                ev.set()
+                            self._wake(op)
                         q.clear()
                 for r in self.regions:
                     r.pend.clear()
                 self._suspect = None
+                return None
             finally:
                 self._release(locks)
 
@@ -1493,7 +1549,7 @@ class CoordinatorEngine:
                 (p.name or f"party{i}"): sorted(p.vertices)
                 for i, p in enumerate(self._parties.values())
             },
-            blocked=self._blocked,
+            blocked=len(self._parked),
             events=self.tracer.events[-8:] if self.tracer is not None else (),
         )
         if self._peer_failures:
@@ -1813,9 +1869,7 @@ class CoordinatorEngine:
                     if sq is not None:
                         op = sq.popleft()
                         op.done = True
-                        ev = op.event
-                        if ev is not None:
-                            ev.set()
+                        self._wake(op)
                         completed_sends.append(v)
                         if not sq:
                             pending.pop(v, None)
@@ -1826,9 +1880,7 @@ class CoordinatorEngine:
                         op = rq.popleft()
                         op.value = deliveries.get(v)
                         op.done = True
-                        ev = op.event
-                        if ev is not None:
-                            ev.set()
+                        self._wake(op)
                         completed_recvs.append(v)
                         if not rq:
                             pending.pop(v, None)
@@ -1958,7 +2010,7 @@ class CoordinatorEngine:
             "plans": len(self._plans),
             "regions": len(self.regions),
             "parties": len(self._parties),
-            "blocked": self._blocked,
+            "blocked": len(self._parked),
             "shed": self.dead.count(),
             "draining": self._draining,
             "step_tier": self._compiled,
