@@ -199,13 +199,6 @@ def _cmd_list(_args) -> int:
 
 
 def main(argv=None) -> int:
-    # behave like a well-mannered unix filter under `| head`
-    try:
-        import signal
-
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    except (AttributeError, ValueError):  # pragma: no cover - non-posix
-        pass
     argv = list(sys.argv[1:] if argv is None else argv)
     # benchmark passthroughs
     if argv and argv[0] == "fig12":
@@ -292,4 +285,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Behave like a well-mannered unix filter under `| head`.  Only as a
+    # program: an in-process main() call must not leave its host process
+    # killable by a write to any closed pipe (a subprocess's stdin, say).
+    try:
+        import signal
+
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    except (AttributeError, ValueError):  # pragma: no cover - non-posix
+        pass
     raise SystemExit(main())

@@ -17,11 +17,14 @@ Pipeline position (docs/COMPILER.md has the full walkthrough)::
          ──product/partition──▶ regions ──commandify──▶ FiringPlan (IR)
          ──this module──▶ specialized step functions (per region state)
 
-The :class:`~repro.automata.simplify.FiringPlan` is the compile IR: the
-emitted body is a straight-line transcription of its guards, slot assigns,
-checks, effects, and deliveries, plus the enabledness probe and operation
-completion that :meth:`CoordinatorEngine._fire_one` performs around the
-plan.  Semantics are identical by construction — the differential-fuzzing
+The :class:`~repro.automata.simplify.FiringPlan` is the compile IR — taken
+from the engine's plan cache, which the interpreter shares: the emitted body
+is a straight-line transcription of its guards, slot assigns, checks,
+effects, and deliveries, plus the enabledness probe and operation
+completion that :meth:`CoordinatorEngine._fire_one_interp` performs around
+the plan.  The engine's one firing loop (``_drain_region``) calls the
+emitted functions and runs the bookkeeping and observed epilogue for both
+tiers.  Semantics are identical by construction — the differential-fuzzing
 modes ``regions-compiled``/``global-compiled`` (:mod:`repro.fuzz.harness`)
 hold the two tiers to trace equivalence.
 
@@ -66,7 +69,6 @@ from repro.automata.simplify import (
     _PEEK,
     _SEND,
     FiringPlan,
-    commandify,
 )
 from repro.util.errors import CompileError, ConstraintError
 
@@ -135,9 +137,11 @@ class StepCompiler:
 
     Bound (at construction) to the engine's pending-op queue maps, buffer
     store, boundary signature, registry, closed-vertex set, and wake
-    function — the exact objects the emitted closures capture.  The engine
-    builds a fresh compiler in ``_adopt_regions`` so construction *and*
-    reconfigure bind current objects.
+    function — the exact objects the emitted closures capture — and to the
+    engine's plan cache ``plan_for`` (``step -> FiringPlan``), which both
+    tiers share, so a transition is commandified once.  The engine builds a
+    fresh compiler in ``_adopt_regions`` so construction *and* reconfigure
+    bind current objects.
     """
 
     def __init__(
@@ -150,6 +154,7 @@ class StepCompiler:
         registry: FunctionRegistry,
         closed_vertices: set,
         wake,
+        plan_for,
     ):
         self._pending_send = pending_send
         self._pending_recv = pending_recv
@@ -159,6 +164,7 @@ class StepCompiler:
         self._registry = registry
         self._closed = closed_vertices
         self._wake = wake
+        self._plan_for = plan_for
 
     # ------------------------------------------------------------------
 
@@ -208,10 +214,7 @@ class StepCompiler:
                     f"predicate {name!r} not registered at compile time"
                 )
         try:
-            plan = commandify(
-                label, step.atoms, step.effects,
-                self._sources, self._sinks, self._registry,
-            )
+            plan = self._plan_for(step)
         except ConstraintError as exc:
             # The interpreter would surface this at first fire; demoting
             # the region preserves that behaviour exactly.

@@ -125,10 +125,10 @@ class RefSim:
     def enabled(self, offers: dict, recvs) -> list:
         """Every step enabled at the current state given ``offers`` (vertex
         → value for pending sends) and ``recvs`` (vertices with a pending
-        receive).  Mirrors the engine's ``_fire_one`` enabledness test:
-        boundary label vertices need a matching pending operation, internal
-        label vertices are free, and the firing plan's buffer guards must
-        hold."""
+        receive).  Mirrors the enabledness test of the engine's interpreter
+        (``_fire_one_interp``): boundary label vertices need a matching
+        pending operation, internal label vertices are free, and the firing
+        plan's buffer guards must hold."""
         out = []
         for step in self.lazy.outgoing(self.state):
             ok = True

@@ -4,8 +4,7 @@ One :class:`CoordinatorEngine` drives one connected protocol instance.  It
 holds one or more *regions* (see :mod:`repro.automata.partition`); each
 region is either
 
-* an :class:`EagerRegion` — a fully composed "large automaton" with the
-  transition-global :class:`~repro.automata.analysis.GlobalIndex` (the
+* an :class:`EagerRegion` — a fully composed "large automaton" (the
   existing compilation approach, ahead-of-time composition), or
 * a :class:`LazyRegion` — a :class:`~repro.automata.lazy.LazyProduct`
   expanded just-in-time (the new approach, §IV.D).
@@ -15,7 +14,10 @@ registers a pending operation and then *drains* — repeatedly firing enabled
 transitions until quiescence — before blocking.  Every firing completes the
 operations of the boundary vertices in its label and may enable further
 transitions (including internal τ-steps with empty labels, which the drain
-loop also fires).
+loop also fires).  One loop, :meth:`CoordinatorEngine._drain_region`,
+drains both step tiers: a region's compiled per-state table where it has
+one (:mod:`repro.compiler.steps`), the interpreter
+(:meth:`CoordinatorEngine._fire_one_interp`) where it does not.
 
 Concurrency model (docs/INTERNALS.md §"Engine concurrency model")
 -----------------------------------------------------------------
@@ -32,8 +34,8 @@ that independence:
   marking them *dirty* and chasing them afterwards (one lock at a time) —
   independent regions fire concurrently on separate OS threads;
 * **incremental candidate scanning**: each region maintains its
-  pending-vertex set (``region.pend``) as ops enqueue/dequeue, so
-  :meth:`_fire_one` never rebuilds a global pending list, and a region
+  pending-vertex set (``region.pend``) as ops enqueue/dequeue, so a
+  drain never rebuilds a global pending list, and a region
   whose dirty flag is clear is skipped without any scan at all;
 * **parking slots**: every blocked operation parks on its own raw
   ``_thread`` lock, released exactly once by whoever resolves that
@@ -96,7 +98,6 @@ from _thread import allocate_lock as _new_slot
 from collections import deque
 from typing import Sequence
 
-from repro.automata.analysis import GlobalIndex
 from repro.automata.automaton import ConstraintAutomaton
 from repro.automata.constraint import DEFAULT_REGISTRY, FunctionRegistry
 from repro.automata.lazy import LazyProduct
@@ -177,57 +178,18 @@ class _Party:
         self.steps_active = 0
 
 
-class _RegionRuntime:
-    """Runtime fields the engine stamps onto every region it adopts.
-
-    Kept in a mixin so regions built directly (tests, tools) still carry
-    sane defaults before an engine adopts them.
-    """
-
-    def _init_runtime(self) -> None:
-        #: Position in ``engine.regions`` — stable identity for the tracer
-        #: and checkpoint code (no O(#regions) ``list.index`` on the hot
-        #: path).
-        self.idx = 0
-        #: This region's lock.  Assigned by the adopting engine.
-        self.lock: threading.Lock | None = None
-        #: Incrementally maintained pending-vertex set (insertion-ordered
-        #: dict used as an ordered set, for deterministic candidate order).
-        self.pend: dict[str, None] = {}
-        #: Set when this region may have a newly enabled transition
-        #: (an op enqueued, or a shared buffer changed); cleared by the
-        #: drain that scans it.  A clean region is skipped without a scan.
-        self.dirty = False
-        #: False once a reconfigure replaced this region — a late chaser
-        #: must not fire on discarded protocol structure.
-        self.live = True
-        #: Steps fired by this region (``engine.steps`` sums these).
-        self.fired = 0
-        #: Candidates examined before fired steps (metrics; advanced only
-        #: when metered, like the pre-region ``_scan_count``).
-        self.scanned = 0
-        #: Compiled step tier (repro.compiler.steps): ``ctable`` maps a
-        #: control state to its tuple of specialized CompiledStep functions;
-        #: ``compiled`` is False when this region was demoted to the
-        #: interpretive engine (compile refusal, or ``compiled="off"``).
-        self.compiled = False
-        self.ctable: dict | None = None
-
-
-class EagerRegion(_RegionRuntime):
-    """Region backed by a fully composed automaton + global index."""
+class EagerRegion:
+    """Region backed by a fully composed automaton."""
 
     def __init__(self, automaton: ConstraintAutomaton):
         self.automaton = automaton
-        self.index = GlobalIndex(automaton)
         self.state: int = automaton.initial
-        # Per-state round-robin cursors for fairness (see _fire_one): a
-        # cursor is an index into one state's candidate list, so sharing a
+        # Per-state round-robin cursors for fairness (see _fire_one_interp):
+        # a cursor is an index into one state's candidate list, so sharing a
         # single cursor across states aliases lists of different length and
         # order — which is exactly what starved a competing sender behind a
         # resonating pair (the pre-region engine's rr drift bug).
         self.cursors: dict = {}
-        self._init_runtime()
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -236,10 +198,7 @@ class EagerRegion(_RegionRuntime):
     def buffer_names(self) -> frozenset[str]:
         return frozenset(b.name for b in self.automaton.buffers)
 
-    def outgoing(self):
-        return self.automaton.outgoing(self.state)
-
-    def candidates(self, pending_vertices):
+    def candidates(self):
         """The state's outgoing transitions, in automaton order.
 
         Dense enumeration deliberately matches the compiled step tier's
@@ -248,11 +207,7 @@ class EagerRegion(_RegionRuntime):
         :class:`~repro.runtime.recovery.RegionState`) index a candidate
         list by position, so a checkpoint written under one tier restores
         the same fairness choices under the other only if both tiers
-        enumerate identically.  The pending-filtered per-vertex dispatch of
-        :class:`~repro.automata.analysis.GlobalIndex` (§V.B point 2) is
-        superseded on the hot path by the compiled tables, which specialize
-        per state rather than per (state, vertex) — the index remains
-        available (``self.index``) for analyses and tests.
+        enumerate identically.
         """
         return self.automaton.outgoing(self.state)
 
@@ -260,14 +215,13 @@ class EagerRegion(_RegionRuntime):
         self.state = step.target
 
 
-class LazyRegion(_RegionRuntime):
+class LazyRegion:
     """Region backed by a just-in-time product."""
 
     def __init__(self, lazy: LazyProduct):
         self.lazy = lazy
         self.state = lazy.initial
         self.cursors: dict = {}  # per-state fairness cursors (see EagerRegion)
-        self._init_runtime()
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -279,10 +233,7 @@ class LazyRegion(_RegionRuntime):
             names.update(b.name for b in a.buffers)
         return frozenset(names)
 
-    def outgoing(self):
-        return self.lazy.outgoing(self.state)
-
-    def candidates(self, pending_vertices):
+    def candidates(self):
         return self.lazy.outgoing(self.state)
 
     def advance(self, step) -> None:
@@ -668,13 +619,32 @@ class CoordinatorEngine:
         route: dict[str, EagerRegion | LazyRegion] = {}
         watchers: dict[str, list] = {}
         for i, r in enumerate(self.regions):
+            # Position in ``engine.regions`` — stable identity for the
+            # tracer and checkpoint code (no O(#regions) ``list.index`` on
+            # the hot path).
             r.idx = i
             r.lock = threading.Lock()
+            # Incrementally maintained pending-vertex set (insertion-ordered
+            # dict used as an ordered set, for deterministic candidate
+            # order).
             r.pend = {}
+            # Set when this region may have a newly enabled transition (an
+            # op enqueued, or a shared buffer changed); cleared by the drain
+            # that scans it.  A clean region is skipped without a scan.
             r.dirty = False
+            # False once a reconfigure replaced this region — a late chaser
+            # must not fire on discarded protocol structure.
             r.live = True
+            # Steps fired by this region (``engine.steps`` sums these).
             r.fired = 0
+            # Candidates examined before fired steps (metrics; advanced
+            # only when metered, like the pre-region ``_scan_count``).
             r.scanned = 0
+            # Compiled step tier (repro.compiler.steps): ``ctable`` maps a
+            # control state to its tuple of specialized CompiledStep
+            # functions; ``compiled`` is False when this region was demoted
+            # to the interpretive engine (compile refusal, or
+            # ``compiled="off"``).
             r.compiled = False
             r.ctable = None
             for v in r.vertices:
@@ -726,31 +696,27 @@ class CoordinatorEngine:
             self.registry,
             self._closed_vertices,
             self._wake,
+            self._plan_for,
         )
         self._step_compiler = compiler
         for r in self.regions:
+            r.compiled = True
+            if isinstance(r, LazyRegion):
+                # Lazy regions specialize per visited state, starting with
+                # the initial one — an up-front probe so obvious refusals
+                # demote before the first firing.
+                r.ctable = {}
+                self._compile_region_state(r)
+                continue
             try:
-                if isinstance(r, EagerRegion):
-                    # Eager regions are fully known: compile every state now
-                    # (the existing approach's compile-time share, like
-                    # precompile_plans).
-                    r.ctable = compiler.compile_automaton(r.automaton)
-                else:
-                    # Lazy regions specialize per visited state, starting
-                    # with the initial one — an up-front probe so obvious
-                    # refusals demote before the first firing.
-                    r.ctable = {
-                        r.state: compiler.compile_state(
-                            r.candidates(None), r.state, lazy=True
-                        )
-                    }
+                # Eager regions are fully known: compile every state now
+                # (the existing approach's compile-time share, like
+                # precompile_plans).
+                r.ctable = compiler.compile_automaton(r.automaton)
             except CompileError:
                 if self._compiled == "require":
                     raise
-                r.ctable = None
                 r.compiled = False
-                continue
-            r.compiled = True
 
     @staticmethod
     def _acquire(locks) -> None:
@@ -1569,67 +1535,70 @@ class CoordinatorEngine:
 
     # ------------------------------------------------------- firing engine
 
-    def _drain_region(self, region, spill: list) -> None:
-        """Fire ``region`` until quiescent (its lock held).  Regions whose
-        shared buffers changed are marked dirty and appended to ``spill``
-        for the caller to chase after releasing this lock."""
+    def _drain_region(self, region, spill: list | None) -> None:
+        """Fire ``region`` until quiescent (its lock held).
+
+        One loop serves both tiers: round-robin over the current state's
+        compiled table (see :mod:`repro.compiler.steps` and
+        docs/COMPILER.md); a table miss JIT-compiles the state (lazy regions
+        reach states discovered only at run time), and a demoted region or
+        a state past the table cap fires once through the interpreter —
+        mid-drain and per state, with identical behaviour.
+
+        Regions whose shared buffers changed are marked dirty and appended
+        to ``spill`` for the caller to chase after releasing this lock;
+        ``None`` means the caller holds every region lock and will consult
+        dirty flags directly.
+        """
         region.dirty = False
         pend = region.pend
-        if (
-            region.compiled
-            and not self._observing
-            and not self._vertex_party
-        ):
-            # Unobserved fast path: fuse the whole drain into one loop so
-            # the per-fire dispatch prologue (metrics/tracer/trace-lock
-            # probing in _fire_compiled) is paid once per drain, not once
-            # per step.  Falls through when the region demotes mid-drain.
-            if self._drain_compiled(region, pend, spill):
-                return
-        while self._fire_one(region, pend, spill):
-            pass
-
-    def _drain_compiled(self, region, pend, spill) -> bool:
-        """Drain a compiled region to quiescence with per-fire invariants
-        hoisted (no metrics, tracer, or watchdog parties attached — the
-        caller checked).  Returns ``False`` if the region demoted (or hit
-        the state-table cap) mid-drain; the caller then finishes
-        interpretively.  Bookkeeping is identical to :meth:`_fire_compiled`
-        minus the observability epilogue that cannot apply here."""
-        ctable = region.ctable
         cursors = region.cursors
+        ctable = region.ctable  # re-read only after a miss (JIT, demotion)
         watchers = self._watchers
+        # Hoisted: metrics and the tracer are bound at construction, and
+        # parties only (un)register under every region lock.
+        obs = self._observing or bool(self._vertex_party)
+        trace_lock = self._trace_lock if self.tracer is not None else None
         while True:
             state = region.state
-            entries = ctable.get(state)
+            entries = None if ctable is None else ctable.get(state)
             if entries is None:
-                entries = self._compile_region_state(region)
+                if ctable is not None:
+                    entries = self._compile_region_state(region)
+                    ctable = region.ctable
                 if entries is None:
-                    return False
+                    if self._fire_one_interp(region, pend, spill, obs):
+                        continue
+                    return
             n = len(entries)
             if n == 0:
-                return True
+                return
             start = cursors.get(state, 0) % n
-            for k in range(n):
-                e = entries[(start + k) % n]
-                if e.fire(pend, False) is None:
-                    continue
-                region.state = e.target
-                cursors[state] = (start + k + 1) % n
-                region.fired += 1
-                self._steps_approx += 1
-                if watchers:
-                    for b in e.touched:
-                        ws = watchers.get(b)
-                        if ws:
-                            for w in ws:
-                                if w is not region and not w.dirty:
-                                    w.dirty = True
-                                    if spill is not None:
-                                        spill.append(w)
-                break
-            else:
-                return True
+            # Cross-region trace causality: the trace lock is held across
+            # the probe loop (coarser than the interpreter's probe→record
+            # section, with the same guarantee).
+            if trace_lock is not None:
+                trace_lock.acquire()
+            try:
+                for k in range(n):
+                    e = entries[(start + k) % n]
+                    r = e.fire(pend, obs)
+                    if r is None:
+                        continue
+                    region.state = e.target
+                    cursors[state] = (start + k + 1) % n
+                    region.fired += 1
+                    self._steps_approx += 1
+                    if watchers:
+                        self._signal(region, e.touched, spill)
+                    if r is not True:
+                        self._observe_fire(region, e.label, r, k)
+                    break
+                else:
+                    return
+            finally:
+                if trace_lock is not None:
+                    trace_lock.release()
 
     def _chase(self, spill: list) -> None:
         """Drain the regions a firing signalled, one lock at a time (no
@@ -1658,43 +1627,17 @@ class CoordinatorEngine:
             for region in self.regions:
                 if region.dirty:
                     again = True
-                    region.dirty = False
-                    while self._fire_one(region, region.pend, None):
-                        pass
-
-    def _fire_one(self, region, pending, spill) -> bool:
-        """Try to fire one transition of ``region`` (its lock held).
-
-        Dispatches to the compiled step tier when this region's current
-        control state has a specialized table (see
-        :mod:`repro.compiler.steps` and docs/COMPILER.md), otherwise to the
-        interpretive engine — including mid-run, per state: a lazy region
-        whose newly visited state fails to compile demotes and keeps
-        running interpreted, with identical behaviour.
-
-        ``pending`` is the region's incrementally maintained pending-vertex
-        set.  ``spill`` collects regions
-        signalled through shared buffers; ``None`` means the caller holds
-        every region lock and will consult dirty flags directly.
-        """
-        if region.compiled:
-            entries = region.ctable.get(region.state)
-            if entries is None:
-                entries = self._compile_region_state(region)
-            if entries is not None:
-                return self._fire_compiled(region, entries, pending, spill)
-        return self._fire_one_interp(region, pending, spill)
+                    self._drain_region(region, None)
 
     def _compile_region_state(self, region):
-        """JIT-compile the region's current control state (lazy regions
-        reach states discovered only at run time).  Returns the new table
-        entry, or ``None`` after demoting the region / hitting the state
-        cap — the caller then interprets."""
+        """JIT-compile the region's current control state.  Returns the
+        new table entry, or ``None`` after demoting the region / hitting
+        the state cap — the caller then interprets."""
         if len(region.ctable) >= _STATE_TABLE_CAP:
             return None
         try:
             entries = self._step_compiler.compile_state(
-                region.candidates(None),
+                region.candidates(),
                 region.state,
                 lazy=isinstance(region, LazyRegion),
             )
@@ -1707,110 +1650,90 @@ class CoordinatorEngine:
         region.ctable[region.state] = entries
         return entries
 
-    def _fire_compiled(self, region, entries, pending, spill) -> bool:
-        """Compiled twin of :meth:`_fire_one_interp`: round-robin over the
-        state's specialized step functions, then the same bookkeeping and
-        observability epilogue the interpreter performs — cursors, fired
-        counters, watcher spill, liveness stamps, metrics, and tracer
-        records are bit-for-bit identical so checkpoints and traces round-
-        trip across tiers."""
-        n = len(entries)
-        if n == 0:
-            return False
-        mx = self._metrics
-        tracing = self.tracer is not None
-        obs = mx is not None or tracing or bool(self._vertex_party)
-        trace_lock = self._trace_lock if tracing else None
-        state0 = region.state
-        start = region.cursors.get(state0, 0) % n
-        # Coarser than the interpreter's per-candidate critical section
-        # (held across the probe loop, not just probe→record), which
-        # preserves the same cross-region causality guarantee.
-        if trace_lock is not None:
-            trace_lock.acquire()
-        try:
-            for k in range(n):
-                e = entries[(start + k) % n]
-                r = e.fire(pending, obs)
-                if r is None:
-                    continue
-                # Fired.
-                region.state = e.target
-                region.cursors[state0] = (start + k + 1) % n
-                region.fired += 1
-                self._steps_approx += 1
-                if self._watchers:
-                    for b in e.touched:
-                        ws = self._watchers.get(b)
-                        if ws:
-                            for w in ws:
-                                if w is not region and not w.dirty:
-                                    w.dirty = True
-                                    if spill is not None:
-                                        spill.append(w)
-                if r is not True:
-                    cs, cr, dl, enq = r
-                    t = time.monotonic()
-                    if self._vertex_party:
-                        for v in cs:
-                            self._mark_active(v, t)
-                        for v in cr:
-                            self._mark_active(v, t)
-                    if mx is not None:
-                        region.scanned += k + 1
-                        done = mx.done
-                        for v in cs:
-                            child = done.get(v)
-                            if child is not None:
-                                child.value += 1.0
-                        for v in cr:
-                            child = done.get(v)
-                            if child is not None:
-                                child.value += 1.0
-                        # region.fired was already advanced: sample the
-                        # same strided steps the interpreter does.
-                        if enq and (region.fired - 1) & _LAT_MASK == 0:
-                            min_te = 0.0
-                            for _v, te in enq:
-                                if te and (not min_te or te < min_te):
-                                    min_te = te
-                            with self._stat_lock:
-                                mx.latency_child.observe(
-                                    t - min_te if min_te else 0.0)
-                    if tracing:
-                        self.tracer.record(
-                            region.idx,
-                            e.label,
-                            list(cs),
-                            list(cr),
-                            dl,
-                            t=t,
-                            waits=tuple(
-                                (v, t - te if te else 0.0) for v, te in enq
-                            ),
-                        )
-                return True
-            return False
-        finally:
-            if trace_lock is not None:
-                trace_lock.release()
+    def _signal(self, region, touched, spill: list | None) -> None:
+        """Mark dirty the other regions watching a buffer a firing of
+        ``region`` mutated (pushes/pops only — guard probes don't change
+        contents), appending them to ``spill`` (see :meth:`_drain_region`)."""
+        watchers = self._watchers
+        for b in touched:
+            ws = watchers.get(b)
+            if ws:
+                for w in ws:
+                    if w is not region and not w.dirty:
+                        w.dirty = True
+                        if spill is not None:
+                            spill.append(w)
 
-    def _fire_one_interp(self, region, pending, spill) -> bool:
+    def _observe_fire(self, region, label, fired, k: int) -> None:
+        """The observed epilogue of one firing, shared by both tiers:
+        liveness stamps, metrics, and the tracer record, so checkpoints and
+        traces round-trip across tiers.  ``fired`` is ``(completed_sends,
+        completed_recvs, deliveries, enq)`` with ``deliveries`` the
+        ``(vertex, value)`` pairs (materialised only by the tracer) and
+        ``enq`` the ``(vertex, t_enq)`` pairs of the completed ops in label
+        order; ``k`` is the
+        number of candidates skipped before this one; ``region.fired`` has
+        already been advanced."""
+        sends, recvs, deliveries, enq = fired
+        # One clock read per fired step, shared by liveness stamping, the
+        # latency histogram, and the tracer.
+        t = time.monotonic()
+        if self._vertex_party:
+            for v in sends:
+                self._mark_active(v, t)
+            for v in recvs:
+                self._mark_active(v, t)
+        mx = self._metrics
+        if mx is not None:
+            # Plain int: pull-sampled (with engine.steps) at collect time,
+            # so step totals cost the hot path nothing beyond this add.
+            region.scanned += k + 1
+            done = mx.done
+            for v in sends:
+                child = done.get(v)
+                if child is not None:
+                    child.value += 1.0
+            for v in recvs:
+                child = done.get(v)
+                if child is not None:
+                    child.value += 1.0
+            # The latency histogram samples every LATENCY_STRIDE-th fired
+            # step: a full observe per step is the single largest metric
+            # cost, and the distribution doesn't need every step.
+            if enq and (region.fired - 1) & _LAT_MASK == 0:
+                # Age of the oldest completed op; 0.0 when every completed
+                # op was non-blocking (t_enq unstamped).
+                min_te = 0.0
+                for _v, te in enq:
+                    if te and (not min_te or te < min_te):
+                        min_te = te
+                with self._stat_lock:
+                    mx.latency_child.observe(t - min_te if min_te else 0.0)
+        if self.tracer is not None:
+            self.tracer.record(
+                region.idx,
+                label,
+                list(sends),
+                list(recvs),
+                deliveries,
+                t=t,
+                waits=tuple((v, t - te if te else 0.0) for v, te in enq),
+            )
+
+    def _fire_one_interp(self, region, pending, spill, obs) -> bool:
         """The interpretive firing engine — the always-correct tier every
         region can fall back to (plan evaluation via
-        :class:`~repro.automata.simplify.FiringPlan`)."""
-        steps = region.candidates(pending)
+        :class:`~repro.automata.simplify.FiringPlan`).  Fires at most one
+        transition; ``obs`` requests the observed epilogue."""
+        steps = region.candidates()
         n = len(steps)
         if n == 0:
             return False
-        mx = self._metrics
-        tracing = self.tracer is not None
-        observing = mx is not None or tracing
         # Cross-region trace causality: holding the trace lock from probe to
         # record means a consumer region can only observe (and record) a
         # value strictly after its producer's record — the tracer's sequence
         # numbers then respect buffer causality even across OS threads.
-        trace_lock = self._trace_lock if tracing else None
+        trace_lock = self._trace_lock if self.tracer is not None else None
         # Fairness: round-robin over the candidate list, with one cursor
         # *per control state*.  A cursor is an index into this state's
         # candidate list; the old engine shared one cursor per region, so a
@@ -1857,13 +1780,7 @@ class CoordinatorEngine:
                 deliveries = plan.commit(self.buffers, slots)
                 completed_sends: list[str] = []
                 completed_recvs: list[str] = []
-                enq = [] if tracing else None
-                # The latency histogram samples every LATENCY_STRIDE-th
-                # fired step: a full observe per step is the single largest
-                # metric cost, and the distribution doesn't need every step.
-                want_lat = mx is not None and region.fired & _LAT_MASK == 0
-                nops = 0
-                min_te = 0.0  # oldest t_enq among completed stamped ops
+                enq: list | None = [] if obs else None
                 for v in label:
                     sq = self._pending_send.get(v)
                     if sq is not None:
@@ -1884,66 +1801,21 @@ class CoordinatorEngine:
                         completed_recvs.append(v)
                         if not rq:
                             pending.pop(v, None)
-                    if mx is not None:
-                        # Inline (no call frames): at ~10 µs/step the metric
-                        # budget is a few hundred ns (bench_observe.py).
-                        child = mx.done.get(v)
-                        if child is not None:
-                            child.value += 1.0
-                        if want_lat:
-                            nops += 1
-                            te = op.t_enq
-                            if te and (not min_te or te < min_te):
-                                min_te = te
                     if enq is not None:
                         enq.append((v, op.t_enq))
                 region.advance(step)
                 region.cursors[state0] = (start + k + 1) % n
                 region.fired += 1
                 self._steps_approx += 1
-                # Signal regions watching a buffer this firing mutated
-                # (pushes/pops only — guard probes don't change contents).
                 if self._watchers:
-                    for b in plan.touched:
-                        ws = self._watchers.get(b)
-                        if ws:
-                            for w in ws:
-                                if w is not region and not w.dirty:
-                                    w.dirty = True
-                                    if spill is not None:
-                                        spill.append(w)
-                if observing or self._vertex_party:
-                    # One clock read per fired step, shared by liveness
-                    # stamping, the latency histogram, and the tracer.
-                    t = time.monotonic()
-                    if self._vertex_party:
-                        for v in completed_sends:
-                            self._mark_active(v, t)
-                        for v in completed_recvs:
-                            self._mark_active(v, t)
-                    if mx is not None:
-                        # Plain int: pull-sampled (with engine.steps) at
-                        # collect time, so step totals cost the hot path
-                        # nothing beyond this add.
-                        region.scanned += k + 1
-                        if nops:
-                            # Age of the oldest completed op; 0.0 when every
-                            # completed op was non-blocking (t_enq unstamped).
-                            with self._stat_lock:
-                                mx.latency_child.observe(
-                                    t - min_te if min_te else 0.0)
-                    if tracing:
-                        self.tracer.record(
-                            region.idx,
-                            label,
-                            completed_sends,
-                            completed_recvs,
-                            tuple(deliveries.items()),
-                            t=t,
-                            waits=tuple(
-                                (v, t - te if te else 0.0) for v, te in enq
-                            ),
-                        )
+                    self._signal(region, plan.touched, spill)
+                if obs:
+                    self._observe_fire(
+                        region, label,
+                        (completed_sends, completed_recvs,
+                         deliveries.items(), enq),
+                        k,
+                    )
             finally:
                 if trace_lock is not None:
                     trace_lock.release()

@@ -127,6 +127,64 @@ def test_transition_budget_demotes(monkeypatch):
     assert got[h0] == got[h1] and len(got[h0]) >= 3
 
 
+def test_state_table_cap_interprets_without_demoting(monkeypatch):
+    """A JIT region that reaches more control states than the table cap
+    stays compiled: states past the cap fire through the interpreter, and
+    deliveries match the interpretive tier."""
+    from repro.runtime import engine as engine_module
+
+    monkeypatch.setattr(engine_module, "_STATE_TABLE_CAP", 2)
+    got = {}
+    for tier in ("off", "auto"):
+        conn = library.connector("EarlyAsyncMerger", 4, compiled=tier)
+        conn.connect(*mkports(4, 1))
+        engine = conn.engine
+        for k in range(3):
+            for t in conn.tail_vertices:
+                engine.post_send(t, (t, k))
+        ops = [engine.post_recv(conn.head_vertices[0]) for _ in range(12)]
+        assert all(op.done for op in ops)
+        got[tier] = [op.value for op in ops]
+        stats = conn.stats()
+        conn.close()
+        assert stats["cached_states"] > 2  # the cap was actually exceeded
+        if tier == "auto":
+            assert stats["compiled_regions"] == 1
+            assert 1 <= stats["compiled_states"] <= 2
+    assert got["auto"] == got["off"]
+
+
+def test_mid_drain_demotion_and_late_registration():
+    """The initial state compiles, but the state after the fifo fills
+    references an unregistered function: the region demotes mid-drain,
+    keeps running interpreted, and a function registered after the
+    demotion is used at first fire — exactly as under compiled="off"."""
+    src = "T(a;b) = Fifo1(a;m) mult Transform<late>(m;b)"
+    got = {}
+    for tier in ("off", "auto"):
+        reg = DEFAULT_REGISTRY.merged_with(None)
+        conn = compile_source(src).instantiate_connector(
+            "T", registry=reg, compiled=tier
+        )
+        conn.connect(*mkports(1, 1))
+        if tier == "auto":
+            assert conn.stats()["compiled_regions"] == 1
+        engine = conn.engine
+        (a,), (b,) = conn.tail_vertices, conn.head_vertices
+        assert engine.post_send(a, 1).done  # fills the fifo
+        assert conn.stats()["compiled_regions"] == 0  # demoted mid-drain
+        reg.register_function("late", lambda x: x * 10)
+        values = []
+        for k in (2, 3):
+            op = engine.post_recv(b)
+            values.append(op.value if op.done else None)
+            assert engine.post_send(a, k).done
+        values.append(engine.post_recv(b).value)
+        got[tier] = values
+        conn.close()
+    assert got["auto"] == got["off"] == [10, 20, 30]
+
+
 def test_compile_error_is_value_error():
     """CompileError subclasses ValueError so legacy call sites that caught
     ValueError around codegen/simplify keep working."""

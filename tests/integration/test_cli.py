@@ -15,6 +15,20 @@ def test_list(capsys):
     assert len(out.strip().splitlines()) == 18
 
 
+def test_in_process_main_keeps_sigpipe_disposition(capsys):
+    """``python -m repro`` restores the default SIGPIPE action so it dies
+    quietly under ``| head``; an in-process main() call must not, or a
+    later write to a dead subprocess's stdin kills the host process (this
+    test runner included) instead of raising BrokenPipeError."""
+    import signal
+
+    if not hasattr(signal, "SIGPIPE"):
+        pytest.skip("no SIGPIPE on this platform")
+    before = signal.getsignal(signal.SIGPIPE)
+    assert main(["list"]) == 0
+    assert signal.getsignal(signal.SIGPIPE) == before
+
+
 def test_compile_to_stdout(tmp_path, capsys):
     src = tmp_path / "pipe.reo"
     src.write_text("Pipe(a;b) = Fifo1(a;b)\n")

@@ -130,9 +130,15 @@ def workload(name, n):
             [("pump", {}, {0: 1}), ("pump", {1 % n: ["b"]}, {0: 1})],
         )
     if name == "EarlyAsyncReplicator":
+        # One firing delivers to all n receivers at once: no arrival order.
         return ([("pump", {0: ["a"]}, {})], [("pump", {}, each_recv_1)])
     if name == "LateAsyncReplicator":
-        return ([("pump", {0: ["a"]}, {})], [("pump", {}, each_recv_1)])
+        # Each receiver drains its own fifo: one at a time, in index order
+        # (n concurrent receivers would fire in thread-arrival order).
+        return (
+            [("pump", {0: ["a"]}, {})],
+            [("pump", {}, {i: 1}) for i in range(n)],
+        )
     if name == "EarlyAsyncRouter":
         return ([("pump", {0: ["a"]}, {})], [("pump", {}, {0: 1})])
     if name == "LateAsyncRouter":
